@@ -15,6 +15,7 @@ use nova_approx::Activation;
 use nova_synth::{units, LutSharing, TechModel};
 use nova_workloads::bert::{census, BertConfig, OpCensus};
 
+use crate::schedule::Schedule;
 use crate::timeline::table_switch_cycles;
 use crate::NovaError;
 
@@ -222,7 +223,8 @@ pub struct MultiStreamReport {
     /// Shard workers serving the coalesced batches concurrently.
     pub workers: usize,
     /// Distinct activation tables the slate touches (batches coalesce
-    /// only within one table's run).
+    /// only within one table's run; requests with no queries touch
+    /// none).
     pub activations: usize,
     /// Non-linear queries summed over all requests.
     pub total_queries: u64,
@@ -236,14 +238,14 @@ pub struct MultiStreamReport {
     /// Non-linear cycles with coalescing — the *serial* sum over all
     /// batches, independent of the worker count.
     pub nl_cycles: u64,
-    /// Per-worker accumulated non-linear cycles under round-robin batch
-    /// dispatch — the counters the aggregate view below is gathered
+    /// Per-worker accumulated non-linear cycles under round-robin work
+    /// unit dispatch — the counters the aggregate view below is gathered
     /// from. One entry per worker.
     pub worker_nl_cycles: Vec<u64>,
     /// Per-worker accumulated table-switch stall cycles under the same
-    /// round-robin dispatch: a worker switches whenever consecutive
-    /// batches it serves belong to different activation tables. All
-    /// zeros for the NOVA NoC.
+    /// dispatch: a worker switches whenever consecutive batches it
+    /// serves belong to different activation tables. All zeros for the
+    /// NOVA NoC.
     pub worker_switch_cycles: Vec<u64>,
     /// Activation-table switches summed over the pool.
     pub table_switches: u64,
@@ -316,35 +318,91 @@ nova_serde::impl_serde_struct!(MultiStreamReport {
 /// per-switch rewrite volume (matches `timeline::layer_timeline`).
 const PAPER_TABLE_ENTRIES: u64 = 16;
 
+/// What the analytic twins read off a [`Schedule`]: per-worker lookup
+/// and switch-stall cycles, plus the pool's batch and switch counts.
+struct ScheduleFold {
+    batches: u64,
+    worker_nl_cycles: Vec<u64>,
+    worker_switch_cycles: Vec<u64>,
+    table_switches: u64,
+    switch_cycles: u64,
+    /// The busiest worker's lookup *plus* switch cycles.
+    makespan: u64,
+}
+
+/// Runs `schedule` on `workers` shards exactly as the serving workers
+/// do: unit `seq` goes to shard `seq % workers`, every batch runs its
+/// group's lookup tables `lookups[group]` in order at
+/// `kind.batch_latency_cycles()` each, and a shard re-programs — one
+/// switch, a [`table_switch_cycles`] stall — whenever a lookup's table
+/// differs from the one it has loaded. Shards boot with the slate's
+/// first lookup table.
+fn fold_schedule(
+    schedule: &Schedule,
+    lookups: &[&[Activation]],
+    kind: ApproximatorKind,
+    workers: usize,
+) -> ScheduleFold {
+    let latency = kind.batch_latency_cycles();
+    let stall = table_switch_cycles(kind, PAPER_TABLE_ENTRIES);
+    let mut loaded = vec![lookups[0][0]; workers];
+    // One pass of a batch's lookups on shard `w`: the switches it costs.
+    let mut pass = |w: usize, tables: &[Activation]| {
+        tables
+            .iter()
+            .filter(|&&t| std::mem::replace(&mut loaded[w], t) != t)
+            .count() as u64
+    };
+    let mut batches = 0;
+    let mut table_switches = 0;
+    let mut worker_nl_cycles = vec![0; workers];
+    let mut worker_switch_cycles = vec![0; workers];
+    for (seq, unit) in schedule.units().iter().enumerate() {
+        let (w, tables, n) = (seq % workers, lookups[unit.group], unit.batches() as u64);
+        // After its first batch the shard holds the unit's last lookup
+        // table, so every later batch repeats the same steady pass.
+        let switches = pass(w, tables) + (n - 1) * pass(w, tables);
+        batches += n;
+        table_switches += switches;
+        worker_nl_cycles[w] += n * tables.len() as u64 * latency;
+        worker_switch_cycles[w] += switches * stall;
+    }
+    let makespan = worker_nl_cycles
+        .iter()
+        .zip(&worker_switch_cycles)
+        .map(|(&c, &s)| c + s)
+        .max()
+        .unwrap_or(0);
+    ScheduleFold {
+        batches,
+        switch_cycles: worker_switch_cycles.iter().sum(),
+        worker_nl_cycles,
+        worker_switch_cycles,
+        table_switches,
+        makespan,
+    }
+}
+
 /// Evaluates a mixed-activation slate of inference requests (one
 /// `(activation, census)` pair each, from any number of concurrent
-/// streams) sharing `kind` on `config`: non-linear queries are coalesced
+/// streams) sharing `kind` on `config`. Non-linear queries are coalesced
 /// across requests into full `(routers × neurons)` batches *within each
-/// activation's run* (runs in first-appearance order, exactly like the
-/// functional engine's admission stage), dispatched round-robin over
-/// `workers` concurrent shard workers, matmuls serialize on the host
-/// fabric, and the report carries aggregate throughput (inferences/s,
-/// queries/s) plus batch occupancy — versus naive dispatch, where each
-/// request's batches run alone with their own padded tails on a single
-/// worker.
-///
-/// Aggregate numbers are gathered from the per-worker cycle counters:
-/// the non-linear wall time is the pool's makespan (the busiest worker,
-/// **table-switch stalls included** — a worker switches whenever
-/// consecutive batches it serves belong to different activations, at
-/// [`crate::timeline::table_switch_cycles`] per switch: free for the
-/// NOVA NoC, a real bank rewrite for LUT/SDP hardware), so `workers = 1`
-/// with a single activation reproduces the serial accounting exactly.
-/// The model has no table registry, so workers are taken as
-/// pre-programmed with the *slate's first* activation; a functional
-/// engine pre-programs with its first *registered* table instead, so
-/// absolute switch counts can differ by up to one switch per worker
-/// when a slate opens with a different activation than the engine
-/// default.
+/// activation's run*, matmuls serialize on the host fabric, and the
+/// report carries aggregate throughput (inferences/s, queries/s) plus
+/// batch occupancy — versus naive dispatch, where each request's batches
+/// run alone with their own padded tails on a single worker.
 ///
 /// This is the *analytic* twin of [`crate::serving::ServingEngine`]: it
-/// counts queries and batch slots without materializing values, and its
-/// `capacity = routers × neurons` accounting is exactly the flat
+/// builds the [`Schedule`] admission builds (one group per activation)
+/// from the census query counts and folds it over `workers` shards as
+/// the shard workers run it. The non-linear wall time is the pool's
+/// makespan — the busiest worker, **table-switch stalls included**
+/// (free for the NOVA NoC, a bank rewrite for LUT/SDP hardware). The
+/// one precondition: the twin pre-programs every worker with the
+/// slate's first activation, so it equals an engine whose tables are
+/// registered in the slate's first-appearance order.
+///
+/// Its `capacity = routers × neurons` accounting is exactly the flat
 /// [`nova_fixed::FixedBatch`] slot layout the functional pipeline packs
 /// (slate census totals here = grid slots there). Callers holding a
 /// seeded trace get the census slate without cloning request records via
@@ -371,70 +429,57 @@ pub fn evaluate_multi_stream(
             "multi-stream evaluation needs at least one worker".into(),
         ));
     }
-    let capacity = config.total_neurons() as u64;
+    let capacity = config.total_neurons();
+    // One group per activation, in first-appearance order — coalescing
+    // never crosses a table boundary, exactly like admission.
+    let mut groups: Vec<Activation> = Vec::new();
+    let shapes: Vec<(usize, usize)> = requests
+        .iter()
+        .map(|(activation, census)| {
+            let group = groups
+                .iter()
+                .position(|a| a == activation)
+                .unwrap_or_else(|| {
+                    groups.push(*activation);
+                    groups.len() - 1
+                });
+            let queries = usize::try_from(census.approximator_queries());
+            (group, queries.expect("census queries fit usize"))
+        })
+        .collect();
+    let schedule = Schedule::build(shapes, &vec![false; groups.len()], capacity, workers)?;
+    let lookups: Vec<&[Activation]> = groups.iter().map(std::slice::from_ref).collect();
+    let fold = fold_schedule(&schedule, &lookups, kind, workers);
+    let activations = (0..groups.len())
+        .filter(|&g| schedule.units().iter().any(|u| u.group == g))
+        .count();
     let total_queries: u64 = requests.iter().map(|(_, s)| s.approximator_queries()).sum();
-    // Group queries into per-activation runs, in first-appearance order
-    // — coalescing never crosses a table boundary, exactly like the
-    // functional admission stage.
-    let mut run_activations: Vec<Activation> = Vec::new();
-    let mut run_queries: Vec<u64> = Vec::new();
-    for (activation, census) in requests {
-        match run_activations.iter().position(|a| a == activation) {
-            Some(i) => run_queries[i] += census.approximator_queries(),
-            None => {
-                run_activations.push(*activation);
-                run_queries.push(census.approximator_queries());
-            }
-        }
-    }
-    let coalesced_batches: u64 = run_queries.iter().map(|q| q.div_ceil(capacity)).sum();
+    let coalesced_batches = fold.batches;
     let naive_batches: u64 = requests
         .iter()
-        .map(|(_, s)| s.approximator_queries().div_ceil(capacity))
+        .map(|(_, s)| s.approximator_queries().div_ceil(capacity as u64))
         .sum();
     let latency = kind.batch_latency_cycles();
-    let nl_cycles = coalesced_batches * latency;
-    // Round-robin the run-ordered batches over the worker pool, exactly
-    // as the serving runtime's admission stage does — tracking which
-    // activation each worker has loaded (all pre-programmed with the
-    // first run's table) — and gather the aggregate from the per-worker
-    // counters.
     let switch_stall = table_switch_cycles(kind, PAPER_TABLE_ENTRIES);
-    let mut worker_nl_cycles = vec![0u64; workers];
-    let mut worker_switch_cycles = vec![0u64; workers];
-    let mut worker_current = vec![run_activations[0]; workers];
-    let mut table_switches = 0u64;
-    let mut seq = 0u64;
-    for (run, &activation) in run_activations.iter().enumerate() {
-        for _ in 0..run_queries[run].div_ceil(capacity) {
-            let w = usize::try_from(seq % workers as u64).expect("workers fit usize");
-            if worker_current[w] != activation {
-                worker_current[w] = activation;
-                worker_switch_cycles[w] += switch_stall;
-                table_switches += 1;
-            }
-            worker_nl_cycles[w] += latency;
-            seq += 1;
-        }
-    }
-    let switch_cycles: u64 = worker_switch_cycles.iter().sum();
-    let makespan_nl_cycles = worker_nl_cycles
-        .iter()
-        .zip(&worker_switch_cycles)
-        .map(|(&c, &s)| c + s)
-        .max()
-        .unwrap_or(0);
+    let nl_cycles = coalesced_batches * latency;
+    let makespan_nl_cycles = fold.makespan;
     // The naive single-worker dispatcher pays the same stall model,
-    // symmetric with the coalesced path: pre-programmed with the first
-    // request's table, it switches at every activation boundary of the
-    // arrival order — run grouping is exactly what it lacks.
-    let naive_table_switches = requests.windows(2).filter(|w| w[0].0 != w[1].0).count() as u64;
+    // symmetric with the coalesced path: it switches at every
+    // activation boundary of the arrival order — run grouping is
+    // exactly what it lacks. Empty requests dispatch nothing, so they
+    // are no boundary.
+    let dispatched: Vec<Activation> = requests
+        .iter()
+        .filter(|(_, s)| s.approximator_queries() > 0)
+        .map(|(a, _)| *a)
+        .collect();
+    let naive_table_switches = dispatched.windows(2).filter(|w| w[0] != w[1]).count() as u64;
     let naive_nl_cycles = naive_batches * latency + naive_table_switches * switch_stall;
     // The coalesced path's single-worker equivalent for the speedup
     // ratio: one switch per run transition, however many workers the
     // report models (per-pool switch counts scale with workers, which
     // would skew a serial-vs-serial comparison).
-    let coalesced_serial_cycles = nl_cycles + (run_activations.len() as u64 - 1) * switch_stall;
+    let coalesced_serial_cycles = nl_cycles + (activations as u64).saturating_sub(1) * switch_stall;
     let freq_hz = config.frequency_mhz * 1e6;
     // Wall time is bounded by the busiest worker; energy is not — every
     // batch burns one unit's power for its latency wherever it runs, so
@@ -463,20 +508,20 @@ pub fn evaluate_multi_stream(
         approximator: kind.label().to_string(),
         requests: requests.len(),
         workers,
-        activations: run_activations.len(),
+        activations,
         total_queries,
         coalesced_batches,
         naive_batches,
         batch_occupancy_pct: if coalesced_batches == 0 {
             0.0
         } else {
-            100.0 * total_queries as f64 / (coalesced_batches * capacity) as f64
+            100.0 * total_queries as f64 / (coalesced_batches * capacity as u64) as f64
         },
         nl_cycles,
-        worker_nl_cycles,
-        worker_switch_cycles,
-        table_switches,
-        switch_cycles,
+        worker_nl_cycles: fold.worker_nl_cycles,
+        worker_switch_cycles: fold.worker_switch_cycles,
+        table_switches: fold.table_switches,
+        switch_cycles: fold.switch_cycles,
         makespan_nl_cycles,
         naive_table_switches,
         naive_nl_cycles,
@@ -503,9 +548,9 @@ pub fn evaluate_multi_stream(
 ///
 /// Mirrors [`evaluate_multi_stream`]'s relationship to the single-table
 /// runtime: it counts batches, lookups and switch stalls without
-/// materializing values, with the exact packing discipline the
-/// functional engine uses for fused plans (row-aligned — an attention
-/// row never splits across batches, because the reduce stages span it).
+/// materializing values, folding the row-aligned [`Schedule`] the
+/// functional engine executes for fused plans (an attention row never
+/// splits across batches, because the reduce stages span it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedSoftmaxReport {
     /// Host accelerator name.
@@ -559,17 +604,18 @@ nova_serde::impl_serde_struct!(FusedSoftmaxReport {
 
 /// Evaluates a fused-softmax trace — one entry per attention row, the
 /// row's lane width — served as op-graph plans of `kind` on `config`:
-/// rows pack row-aligned into `(routers × neurons)`-slot batches, every
-/// batch runs two lookup passes (softmax-exp, then reciprocal) with a
-/// table switch before each pass the worker's loaded table doesn't
-/// match, and batches round-robin over `workers` shards exactly like
-/// the functional admission stage. Workers boot with the exp table
-/// loaded (the plan's first lookup), so the first batch on each worker
-/// switches once and every later batch twice.
+/// rows pack row-aligned into `(routers × neurons)`-slot batches, and
+/// every batch runs two lookup passes (softmax-exp, then reciprocal)
+/// with a table switch before each pass whose table the worker does not
+/// have loaded.
 ///
 /// This is the analytic twin of serving
 /// `nova_workloads::traffic::TrafficMix::fused_rows_slate` through a
-/// [`crate::serving::Plan::fused_softmax`]-registered engine.
+/// [`crate::serving::Plan::fused_softmax`]-registered engine: it folds
+/// the same [`Schedule`] admission builds (one row-aligned group, fat
+/// units of the adaptive `K`) over `workers` shards exactly as the shard
+/// workers run it. Workers boot with the exp table loaded — the plan's
+/// first lookup, and the first table `EngineBuilder::plan` registers.
 ///
 /// # Errors
 ///
@@ -588,70 +634,40 @@ pub fn evaluate_fused_softmax(
             "fused-softmax evaluation needs at least one worker".into(),
         ));
     }
-    let capacity = config.total_neurons() as u64;
-    let mut row_count = 0u64;
-    let mut total_queries = 0u64;
-    let mut batches = 0u64;
-    let mut fill = 0u64;
-    for &width in rows {
-        if width == 0 {
-            continue;
-        }
-        if width > capacity {
-            return Err(NovaError::BatchShape(format!(
-                "fused-softmax row of {width} lanes exceeds the batch capacity {capacity}: \
-                 the in-engine reduction cannot span batches"
-            )));
-        }
-        if fill + width > capacity {
-            batches += 1;
-            fill = 0;
-        }
-        fill += width;
-        row_count += 1;
-        total_queries += width;
-    }
-    batches += u64::from(fill > 0);
-    if batches == 0 {
+    let capacity = config.total_neurons();
+    let shapes = rows
+        .iter()
+        .map(|&width| (0, usize::try_from(width).unwrap_or(usize::MAX)));
+    let schedule = Schedule::build(shapes, &[true], capacity, workers)?;
+    // Every batch looks up exp over the scores, then the reciprocal over
+    // the broadcast denominators.
+    let fold = fold_schedule(
+        &schedule,
+        &[&[Activation::Exp, Activation::Recip]],
+        kind,
+        workers,
+    );
+    if fold.batches == 0 {
         return Err(NovaError::BatchShape(
             "fused-softmax evaluation needs at least one non-empty row".into(),
         ));
     }
-    let latency = kind.batch_latency_cycles();
-    // Two lookup passes per batch: the exp table over the scores, the
-    // reciprocal table over the broadcast denominators.
-    let nl_cycles = batches * 2 * latency;
-    let switch_stall = table_switch_cycles(kind, PAPER_TABLE_ENTRIES);
-    let mut worker_cycles = vec![0u64; workers];
-    let mut worker_booted = vec![false; workers];
-    let mut table_switches = 0u64;
-    let mut switch_cycles = 0u64;
-    for seq in 0..batches {
-        let w = usize::try_from(seq % workers as u64).expect("workers fit usize");
-        // Boot batch: exp is preloaded, only the recip switch pays.
-        // Every later batch re-programs exp *and* recip.
-        let switches = if worker_booted[w] { 2 } else { 1 };
-        worker_booted[w] = true;
-        table_switches += switches;
-        switch_cycles += switches * switch_stall;
-        worker_cycles[w] += 2 * latency + switches * switch_stall;
-    }
-    let makespan_nl_cycles = worker_cycles.iter().copied().max().unwrap_or(0);
-    let freq_hz = config.frequency_mhz * 1e6;
-    let seconds = makespan_nl_cycles as f64 / freq_hz;
+    let total_queries: u64 = rows.iter().sum();
+    let nl_cycles: u64 = fold.worker_nl_cycles.iter().sum();
+    let seconds = fold.makespan as f64 / (config.frequency_mhz * 1e6);
     Ok(FusedSoftmaxReport {
         accelerator: config.name.to_string(),
         approximator: kind.label().to_string(),
         workers,
-        rows: row_count,
+        rows: rows.iter().filter(|&&width| width > 0).count() as u64,
         total_queries,
-        batches,
-        batch_occupancy_pct: 100.0 * total_queries as f64 / (batches * capacity) as f64,
+        batches: fold.batches,
+        batch_occupancy_pct: 100.0 * total_queries as f64 / (fold.batches * capacity as u64) as f64,
         nl_cycles,
-        table_switches,
-        switch_cycles,
-        switch_overhead_pct: 100.0 * switch_cycles as f64 / nl_cycles as f64,
-        makespan_nl_cycles,
+        table_switches: fold.table_switches,
+        switch_cycles: fold.switch_cycles,
+        switch_overhead_pct: 100.0 * fold.switch_cycles as f64 / nl_cycles as f64,
+        makespan_nl_cycles: fold.makespan,
         queries_per_second: if seconds > 0.0 {
             total_queries as f64 / seconds
         } else {
@@ -909,8 +925,7 @@ mod tests {
             assert_eq!(nova.switch_cycles, 0, "{workers} workers");
             assert_eq!(
                 nova.makespan_nl_cycles,
-                nova.coalesced_batches.div_ceil(workers as u64)
-                    * ApproximatorKind::NovaNoc.batch_latency_cycles(),
+                *nova.worker_nl_cycles.iter().max().unwrap(),
                 "NOVA's mixed-tenancy makespan is pure batch latency"
             );
             assert!(lut.switch_cycles > 0);

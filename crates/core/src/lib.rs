@@ -32,7 +32,10 @@
 //!   full vector-unit batches, bit-identically to sequential
 //!   evaluation for any worker count and activation interleaving, with
 //!   a blocking `serve` and a non-blocking `submit`/`try_poll`/`drain`
-//!   session surface.
+//!   session surface,
+//! - [`schedule`]: admission's packing decisions as one pure value,
+//!   executed by the serving engine and folded over by the analytic
+//!   twins in [`engine`].
 //!
 //! # Quickstart
 //!
@@ -66,6 +69,7 @@ pub mod fused;
 pub mod mapper;
 pub mod overlay;
 pub mod react_pipeline;
+pub mod schedule;
 pub mod serving;
 pub mod spsc;
 pub mod timeline;

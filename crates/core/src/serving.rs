@@ -19,15 +19,18 @@
 //! - [`ServingEngine`] is a three-stage concurrent runtime built only on
 //!   `std` (since PR 6, on lock-free [`crate::spsc`] rings instead of
 //!   `mpsc` channels):
-//!   1. an **admission/coalescing** stage that packs the queries of many
-//!      concurrent streams, in arrival order *per activation table*,
-//!      into full `(routers × neurons)` batches, gathers runs of up to
-//!      `K` same-activation batches into one *fat work unit* (`K`
-//!      adapts to the run depth: deep slates amortize the hop over many
-//!      batches, a one-batch slate still dispatches immediately), and
-//!      feeds units to shard workers over fixed-capacity SPSC rings —
-//!      a worker that falls behind exerts backpressure on admission
-//!      instead of queueing unboundedly;
+//!   1. an **admission/coalescing** stage that executes the slate's
+//!      [`Schedule`] — the single source of packing decisions, computed
+//!      from request shapes alone and folded over, unchanged, by the
+//!      analytic twins in [`crate::engine`]. It packs the queries of
+//!      many concurrent streams, in arrival order *per plan*, into full
+//!      `(routers × neurons)` batches, gathers runs of up to `K`
+//!      same-plan batches into one *fat work unit* (`K` adapts to the
+//!      run depth: deep slates amortize the hop over many batches, a
+//!      one-batch slate still dispatches immediately), and feeds units
+//!      to shard workers over fixed-capacity SPSC rings — a worker that
+//!      falls behind exerts backpressure on admission instead of
+//!      queueing unboundedly;
 //!   2. a pool of **shard workers**, each a real [`std::thread`] owning
 //!      its own `Box<dyn VectorUnit>` (the trait is `Send`), receiving
 //!      sequence-numbered work units round-robin, re-programming the
@@ -251,6 +254,7 @@ use nova_synth::TechModel;
 
 pub use nova_noc::fault::{FaultInjector, InjectedFault};
 
+use crate::schedule::Schedule;
 use crate::spsc::{self, Doorbell, PushError};
 use crate::vector_unit::{build, line_for_kind, HostGeometry, VectorUnit};
 use crate::{ApproximatorKind, NovaError};
@@ -383,12 +387,6 @@ impl Plan {
             [PlanStage::Lookup(key)] => Some(key),
             _ => None,
         }
-    }
-
-    /// True for multi-stage (fused) plans.
-    #[must_use]
-    pub fn is_fused(&self) -> bool {
-        self.stages.len() > 1
     }
 
     /// Every table key the plan looks up, in stage order.
@@ -975,7 +973,6 @@ pub struct EngineBuilder<'a> {
     shards: usize,
     tables: Vec<TableKey>,
     cache: Option<&'a TableCache>,
-    unit_cap: usize,
     fault_policy: Option<FaultPolicy>,
 }
 
@@ -988,7 +985,6 @@ impl<'a> EngineBuilder<'a> {
             shards: 1,
             tables: Vec::new(),
             cache: None,
-            unit_cap: MAX_UNIT_BATCHES,
             fault_policy: None,
         }
     }
@@ -1023,17 +1019,6 @@ impl<'a> EngineBuilder<'a> {
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Caps the adaptive run length `K`: how many coalesced
-    /// same-activation batches admission may pack into one work unit.
-    /// Deep slates fatten units toward this cap (amortizing ring hops
-    /// and sequence bookkeeping); shallow slates always thin out to one
-    /// batch per unit regardless. Clamped to at least 1; defaults to 8.
-    #[must_use]
-    pub fn max_batches_per_unit(mut self, k: usize) -> Self {
-        self.unit_cap = k.max(1);
         self
     }
 
@@ -1123,7 +1108,7 @@ impl<'a> EngineBuilder<'a> {
             shards: self.shards,
             tables: keys,
         };
-        ServingEngine::from_config_parts(config, tables, self.unit_cap, self.fault_policy)
+        ServingEngine::from_config_parts(config, tables, self.fault_policy)
     }
 }
 
@@ -1301,16 +1286,10 @@ struct CompiledPlan {
     /// Lookup stages per batch — each costs one
     /// [`VectorUnit::latency_cycles`] charge on success.
     lookups: u64,
-}
-
-impl CompiledPlan {
-    /// The single-stage fast path: the trivial lookup plan's key+table.
-    fn single_lookup(&self) -> Option<(&TableKey, &Arc<QuantizedPwl>)> {
-        match &self.stages[..] {
-            [StageOp::Lookup { key, table }] => Some((key, table)),
-            _ => None,
-        }
-    }
+    /// Whether admission packs this plan's requests whole (every plan
+    /// but the trivial one-lookup plan): reduce stages span a request's
+    /// row, so a row never splits across batches.
+    row_aligned: bool,
 }
 
 /// Exact row max-subtract in the raw domain — [`PlanStage::MaxSubtract`]
@@ -1388,10 +1367,11 @@ struct PackedBatch {
 unsafe impl Send for PackedBatch {}
 
 /// A fat work unit: a sequence-numbered run of up to
-/// [`MAX_UNIT_BATCHES`] same-plan batches. One ring hop, one (at most)
-/// table switch per lookup stage, and one completion serve the whole
-/// run — that amortization is what makes the pool a wall-clock win for
-/// batches that cost ~2 model cycles each.
+/// [`MAX_UNIT_BATCHES`](crate::schedule::MAX_UNIT_BATCHES) same-plan
+/// batches, as the slate's [`Schedule`] lays it out. One ring hop, one
+/// (at most) table switch per lookup stage, and one completion serve
+/// the whole run — that amortization is what makes the pool a
+/// wall-clock win for batches that cost ~2 model cycles each.
 struct WorkUnit {
     seq: u64,
     plan: Arc<CompiledPlan>,
@@ -1430,6 +1410,35 @@ struct UnitDone {
     /// The unit's plan, returned only with a fault verdict so the
     /// engine can re-wrap `recycled` into a dispatchable [`WorkUnit`].
     plan: Option<Arc<CompiledPlan>>,
+}
+
+impl UnitDone {
+    /// A shard-fault completion: the unit reports zero work (the
+    /// healthy re-run is the one the ledger counts) and hands its
+    /// batches and plan back whole for requeue.
+    fn handed_back(
+        seq: u64,
+        worker: usize,
+        recycled: Vec<PackedBatch>,
+        why: String,
+        plan: Arc<CompiledPlan>,
+    ) -> Self {
+        Self {
+            seq,
+            worker,
+            batches_ok: 0,
+            queries_ok: 0,
+            latency: 0,
+            padded: 0,
+            table_switches: 0,
+            switch_cycles: 0,
+            busy_ns: 0,
+            recycled,
+            result: Ok(()),
+            fault: Some(why),
+            plan: Some(plan),
+        }
+    }
 }
 
 /// One slate's results: per-request output vectors, aligned with the
@@ -1474,7 +1483,6 @@ struct TicketState {
     /// Per-request output rows, pre-sized to their final lengths at
     /// admission; workers write the result words in place.
     outputs: Vec<Vec<Fixed>>,
-    request_count: usize,
     /// Lowest-sequence unit failure, if any — deterministic for any
     /// worker timing because sequence order is submission order.
     failure: Option<(u64, NovaError)>,
@@ -1493,14 +1501,6 @@ const WORKER_FEED_DEPTH: usize = 2;
 /// *non-blocking by invariant*, which is what lets shutdown close the
 /// feeds and join workers without first draining completions.
 const WORKER_DONE_DEPTH: usize = 4;
-
-/// Hard cap on batches per work unit. Admission adapts the run length
-/// `K` between 1 and this (see the builder's
-/// [`max_batches_per_unit`](EngineBuilder::max_batches_per_unit)): fat
-/// units amortize ring hops and sequence bookkeeping under deep
-/// slates, while a shallow slate still dispatches one batch per unit
-/// so tail latency and shard spread are unhurt at low load.
-const MAX_UNIT_BATCHES: usize = 8;
 
 /// One shard's engine-side plumbing: the two SPSC rings to/from its
 /// worker thread, the in-flight unit count that caps completion-ring
@@ -1577,8 +1577,6 @@ pub struct ServingEngine {
     pending: VecDeque<WorkUnit>,
     /// In-flight tickets, ordered by `base_seq` (= submit order).
     inflight: Vec<TicketState>,
-    /// Caps adaptive `K` (batches per work unit); builder-configurable.
-    unit_cap: usize,
     /// Caller-thread nanoseconds spent in admission, cumulative.
     admit_ns: u64,
     /// Caller-thread nanoseconds spent finalizing tickets, cumulative.
@@ -1692,7 +1690,6 @@ impl ServingEngine {
     fn from_config_parts(
         config: ServingConfig,
         tables: Vec<(TableKey, Arc<QuantizedPwl>)>,
-        unit_cap: usize,
         fault_policy: Option<FaultPolicy>,
     ) -> Result<Self, NovaError> {
         config.validate()?;
@@ -1720,7 +1717,7 @@ impl ServingEngine {
                 })?;
             }
         }
-        Self::from_units(config, tables, unit_cap, fault_policy, units)
+        Self::from_units(config, tables, fault_policy, units)
     }
 
     /// Spawns the worker pool around pre-built units (also the test seam
@@ -1728,7 +1725,6 @@ impl ServingEngine {
     fn from_units(
         config: ServingConfig,
         tables: Vec<(TableKey, Arc<QuantizedPwl>)>,
-        unit_cap: usize,
         fault_policy: Option<FaultPolicy>,
         units: Vec<Box<dyn VectorUnit>>,
     ) -> Result<Self, NovaError> {
@@ -1810,21 +1806,7 @@ impl ServingEngine {
                             // back whole (batches intact, plan riding
                             // along) for the engine to requeue; the
                             // engine's feed close ends the loop.
-                            let done = UnitDone {
-                                seq,
-                                worker: id,
-                                batches_ok: 0,
-                                queries_ok: 0,
-                                latency: 0,
-                                padded: 0,
-                                table_switches: 0,
-                                switch_cycles: 0,
-                                busy_ns: 0,
-                                recycled: batches,
-                                result: Ok(()),
-                                fault: Some(why.clone()),
-                                plan: Some(plan),
-                            };
+                            let done = UnitDone::handed_back(seq, id, batches, why.clone(), plan);
                             push_done(&done_tx, done);
                             bell.ring();
                             continue 'serve;
@@ -1849,34 +1831,7 @@ impl ServingEngine {
                             }
                             let outcome =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if let Some((key, table)) = plan.single_lookup() {
-                                        // Trivial one-lookup plan: the
-                                        // pre-plan fast path, byte for
-                                        // byte.
-                                        if current != Some(*key) {
-                                            switch_cycles += unit.switch_table(table)?;
-                                            table_switches += 1;
-                                            current = Some(*key);
-                                        }
-                                        unit.lookup_batch_into(&pb.inputs, &mut scratch)?;
-                                        if let Some(lane) = lookup_fault_hook(
-                                            table,
-                                            pb.inputs.as_slice(),
-                                            scratch.as_mut_slice(),
-                                            &mut injector,
-                                            canary,
-                                        ) {
-                                            unit_fault = Some(format!(
-                                                "shard worker {id} canary mismatch at lane \
-                                                 {lane} of work unit {seq}"
-                                            ));
-                                            return Err(NovaError::Runtime(
-                                                "canary mismatch".into(),
-                                            ));
-                                        }
-                                        return Ok(());
-                                    }
-                                    // Fused plan: run the stage sequence,
+                                    // Run the plan's stage sequence,
                                     // ping-ponging lookups through the
                                     // two scratch grids and mutating row
                                     // ops in place. `first` marks that
@@ -1884,6 +1839,10 @@ impl ServingEngine {
                                     // packed inputs.
                                     let mut first = true;
                                     for op in &plan.stages {
+                                        if first && !matches!(op, StageOp::Lookup { .. }) {
+                                            scratch.copy_from(&pb.inputs);
+                                            first = false;
+                                        }
                                         match op {
                                             StageOp::Lookup { key, table } => {
                                                 if current != Some(*key) {
@@ -1931,10 +1890,6 @@ impl ServingEngine {
                                                 }
                                             }
                                             StageOp::MaxSubtract => {
-                                                if first {
-                                                    scratch.copy_from(&pb.inputs);
-                                                    first = false;
-                                                }
                                                 let lanes = scratch.as_mut_slice();
                                                 for &(start, len) in &pb.rows {
                                                     row_max_subtract(
@@ -1944,10 +1899,6 @@ impl ServingEngine {
                                                 }
                                             }
                                             StageOp::SumRangeReduce => {
-                                                if first {
-                                                    scratch.copy_from(&pb.inputs);
-                                                    first = false;
-                                                }
                                                 latch.clear();
                                                 latch.extend(
                                                     scratch.as_slice().iter().map(|x| x.raw()),
@@ -1975,10 +1926,6 @@ impl ServingEngine {
                                                 }
                                             }
                                             StageOp::RangeScale => {
-                                                if first {
-                                                    scratch.copy_from(&pb.inputs);
-                                                    first = false;
-                                                }
                                                 let lanes = scratch.as_mut_slice();
                                                 for (ri, &(start, len)) in
                                                     pb.rows.iter().enumerate()
@@ -2077,27 +2024,10 @@ impl ServingEngine {
                         let busy_ns =
                             u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                         let done = if let Some(why) = unit_fault {
-                            // Shard fault: the unit reports zero work (the
-                            // healthy re-run is the one the ledger counts —
-                            // anything this shard touched is untrusted) and
-                            // carries its batches and plan back for requeue.
-                            // This shard serves nothing further.
+                            // Shard fault: anything this shard touched is
+                            // untrusted, and it serves nothing further.
                             retired = Some(why.clone());
-                            UnitDone {
-                                seq,
-                                worker: id,
-                                batches_ok: 0,
-                                queries_ok: 0,
-                                latency: 0,
-                                padded: 0,
-                                table_switches: 0,
-                                switch_cycles: 0,
-                                busy_ns: 0,
-                                recycled: batches,
-                                result: Ok(()),
-                                fault: Some(why),
-                                plan: Some(plan),
-                            }
+                            UnitDone::handed_back(seq, id, batches, why, plan)
                         } else {
                             UnitDone {
                                 seq,
@@ -2150,7 +2080,6 @@ impl ServingEngine {
             next_ticket: 0,
             pending: VecDeque::new(),
             inflight: Vec::new(),
-            unit_cap: unit_cap.max(1),
             admit_ns: 0,
             finalize_ns: 0,
             requeue_ns: 0,
@@ -2385,6 +2314,7 @@ impl ServingEngine {
             rounding,
             pad: pad.expect("validated plans have a lookup stage"),
             lookups,
+            row_aligned: plan.single_lookup().is_none(),
         });
         self.programs.insert(plan.clone(), Arc::clone(&compiled));
         Ok(compiled)
@@ -2430,22 +2360,13 @@ impl ServingEngine {
     /// Serves a slate of requests from many concurrent streams through
     /// the worker pool, blocking until every batch is back.
     ///
-    /// The admission stage coalesces queries in arrival order *per
-    /// activation table* (activation runs in first-appearance order;
-    /// request order, then query order, within each run) into full
-    /// `(routers × neurons)` batches — only each run's tail batch is
-    /// padded, with an in-domain value whose outputs are dropped —
-    /// packs runs of up to `K` same-activation batches into fat work
-    /// units, and feeds those round-robin to the shard workers over
-    /// fixed-depth SPSC rings (backpressure, not unbounded queueing).
-    /// Workers re-program their unit between runs of different
-    /// activations, charging the per-kind switch stall to
-    /// [`WorkerLoad::switch_cycles`], and scatter each result word
-    /// straight into its request's output row; completion is then just
-    /// a watermark advance, and the assembled outputs align with
-    /// `requests` — bit-identical to evaluating each query through its
-    /// table's [`QuantizedPwl::eval`] alone, for any worker count, any
-    /// run length and any activation interleaving.
+    /// Admission packs the slate as its [`Schedule`] lays it out
+    /// (per-plan runs of full batches in fat work units, round-robin
+    /// over the shards — see the [module docs](self)), and workers
+    /// scatter each result word straight into its request's output row.
+    /// The outputs align with `requests` and are bit-identical to
+    /// [`serve_reference`](Self::serve_reference) for any worker count,
+    /// any run length and any activation interleaving.
     ///
     /// Equivalent to [`submit`](Self::submit) followed by blocking
     /// collection of the returned ticket.
@@ -2466,7 +2387,7 @@ impl ServingEngine {
     }
 
     /// Admits a slate without blocking: packs it into sequence-numbered
-    /// work units (runs of coalesced same-activation batches), queues
+    /// work units (runs of coalesced same-plan batches), queues
     /// them toward the worker pool, and returns a [`Ticket`] to collect
     /// later via [`try_poll`](Self::try_poll) or
     /// [`drain`](Self::drain). Already-submitted work keeps flowing to
@@ -2475,55 +2396,42 @@ impl ServingEngine {
     /// # Errors
     ///
     /// Returns [`NovaError::Runtime`] when a request names an activation
-    /// with no resident table (nothing is dispatched), or when the
-    /// engine was poisoned by a dead worker pool.
+    /// with no resident table, [`NovaError::BatchShape`] for a malformed
+    /// plan or a fused row wider than one batch (nothing is dispatched
+    /// in either case), or [`NovaError::Runtime`] when the engine was
+    /// poisoned by a dead worker pool.
     pub fn submit(&mut self, requests: &[ServingRequest]) -> Result<Ticket, NovaError> {
         self.check_poisoned()?;
         let started = Instant::now();
-        let capacity = self.capacity();
-        let nshards = self.shards.len();
-        // Compile every plan up front: a slate naming a non-resident
-        // activation, carrying a malformed plan, or reducing over a row
-        // wider than one batch is rejected before any buffer or counter
-        // moves. (Plan compilation mutates only the memo cache, which
-        // is invisible to accounting.)
-        let mut plan_of: Vec<Arc<CompiledPlan>> = Vec::with_capacity(requests.len());
-        for request in requests {
-            let compiled = self.compile_plan(&request.plan)?;
-            if compiled.single_lookup().is_none() && request.inputs.len() > capacity {
-                return Err(NovaError::BatchShape(format!(
-                    "fused-plan request of {} queries exceeds the engine's batch \
-                     capacity {capacity} (routers × neurons): reduce stages span a \
-                     request's whole row, so it must fit one batch",
-                    request.inputs.len(),
-                )));
-            }
-            plan_of.push(compiled);
-        }
-        // Group requests into per-plan runs, in first-appearance order.
-        // Plan memoization makes equal plans pointer-equal, so the
-        // grouping (and therefore the packing, sequence numbering and
-        // checksums) of single-lookup slates is exactly the per-table
-        // grouping of the tagged-request surface.
+        // Compile every plan up front and group requests into per-plan
+        // runs, in first-appearance order: a slate naming a non-resident
+        // activation or carrying a malformed plan is rejected before any
+        // buffer or counter moves. (Plan compilation mutates only the
+        // memo cache, which is invisible to accounting.) Memoization
+        // makes equal plans pointer-equal, so single-lookup slates group
+        // exactly per table.
         let mut group_of: Vec<usize> = Vec::with_capacity(requests.len());
         let mut group_plans: Vec<Arc<CompiledPlan>> = Vec::new();
-        let mut group_sizes: Vec<usize> = Vec::new();
-        for (ri, request) in requests.iter().enumerate() {
-            let g = match group_plans
-                .iter()
-                .position(|p| Arc::ptr_eq(p, &plan_of[ri]))
-            {
+        for request in requests {
+            let compiled = self.compile_plan(&request.plan)?;
+            let g = match group_plans.iter().position(|p| Arc::ptr_eq(p, &compiled)) {
                 Some(g) => g,
                 None => {
-                    group_plans.push(Arc::clone(&plan_of[ri]));
-                    group_sizes.push(0);
+                    group_plans.push(compiled);
                     group_plans.len() - 1
                 }
             };
-            group_sizes[g] += request.inputs.len();
             group_of.push(g);
         }
-        let total: usize = group_sizes.iter().sum();
+        // Every packing decision — batches, row alignment, units, K —
+        // comes from the slate's shapes; a row too wide to reduce in one
+        // batch is rejected here, still before anything moves.
+        let row_aligned: Vec<bool> = group_plans.iter().map(|p| p.row_aligned).collect();
+        let shapes = group_of
+            .iter()
+            .zip(requests)
+            .map(|(&g, r)| (g, r.inputs.len()));
+        let schedule = Schedule::build(shapes, &row_aligned, self.capacity(), self.shards.len())?;
         // Pre-size every output row to its final length (the fill value
         // is the plan's pad, overwritten wherever evaluation succeeds):
         // workers scatter result words straight into these rows, so a
@@ -2531,184 +2439,83 @@ impl ServingEngine {
         // in flight.
         let mut outputs: Vec<Vec<Fixed>> = requests
             .iter()
-            .enumerate()
-            .map(|(ri, r)| vec![group_plans[group_of[ri]].pad; r.inputs.len()])
+            .zip(&group_of)
+            .map(|(r, &g)| vec![group_plans[g].pad; r.inputs.len()])
             .collect();
         // The scatter surface: reserved to its exact final length up
         // front, so the base pointer below stays valid for every
         // in-flight `PackedBatch::dst` derived from it.
         let mut scatter = self.spare_scatter.pop().unwrap_or_default();
         scatter.clear();
-        scatter.reserve(total);
+        scatter.reserve(requests.iter().map(|r| r.inputs.len()).sum());
         let scatter_base: *const OutSlot = scatter.as_ptr();
         let base_seq = self.next_seq;
-        let mut jobs = 0usize;
-        // Pack each run into batches and seal runs of up to K batches
-        // into work units. The pad value is in-domain for the plan's
-        // first lookup table by construction (the lower clamp bound),
-        // so padded lanes can never fault; their outputs are simply
-        // never scattered anywhere. Single-lookup runs pack
-        // query-continuously (requests split across batches freely);
-        // fused runs pack row-aligned — a request's row never splits,
-        // because the reduce stages span it. Input buffers, row maps
-        // and unit shells come from the recycling pools: once the
-        // pipeline has warmed up, admission performs no per-batch heap
-        // allocation.
-        for g in 0..group_plans.len() {
-            let plan = Arc::clone(&group_plans[g]);
-            let run_queries = group_sizes[g];
-            if run_queries == 0 {
-                continue;
+        // Execute the schedule: each batch copies its fill of queries
+        // from its run's requests through one `(group, request, query)`
+        // cursor; a row-aligned batch also maps each (whole) request's
+        // `(start, len)` row. Tail lanes take the plan's in-domain pad
+        // (its first table's lower clamp bound), so they never fault and
+        // are never scattered. Buffers, row maps and unit shells come
+        // from the recycling pools, so a warm pipeline admits without
+        // per-batch heap allocation.
+        let mut cursor = (usize::MAX, 0, 0);
+        for unit in schedule.units() {
+            let plan = &group_plans[unit.group];
+            if cursor.0 != unit.group {
+                cursor = (unit.group, 0, 0);
             }
-            let fused = plan.single_lookup().is_none();
-            let pad = plan.pad;
-            let run_batches = if fused {
-                // Row-aligned dry run: count the batches the packing
-                // below will produce, for the adaptive K only.
-                let mut batches = 0usize;
-                let mut fill = 0usize;
-                for (ri, request) in requests.iter().enumerate() {
-                    if group_of[ri] != g || request.inputs.is_empty() {
+            let mut batches = self.spare_units.pop().unwrap_or_default();
+            for fill in schedule.fills(unit) {
+                let mut inputs = self.checkout_inputs(plan.pad);
+                let mut rows = if plan.row_aligned {
+                    self.spare_rows.pop().unwrap_or_default()
+                } else {
+                    Vec::new()
+                };
+                let dst = scatter_base.wrapping_add(scatter.len());
+                let lanes = inputs.as_mut_slice();
+                let mut len = 0;
+                while len < fill {
+                    let (_, ri, qi) = cursor;
+                    let xs = &requests[ri].inputs;
+                    if group_of[ri] != unit.group || qi == xs.len() {
+                        cursor = (unit.group, ri + 1, 0);
                         continue;
                     }
-                    if fill + request.inputs.len() > capacity {
-                        batches += 1;
-                        fill = 0;
+                    let take = (fill - len).min(xs.len() - qi);
+                    if plan.row_aligned {
+                        debug_assert!(qi == 0 && take == xs.len(), "rows never split");
+                        rows.push((len, take));
                     }
-                    fill += request.inputs.len();
+                    lanes[len..len + take].copy_from_slice(&xs[qi..qi + take]);
+                    scatter.extend(outputs[ri][qi..qi + take].iter_mut().map(|y| OutSlot(y)));
+                    len += take;
+                    cursor.2 += take;
                 }
-                batches + usize::from(fill > 0)
-            } else {
-                run_queries.div_ceil(capacity)
-            };
-            // Adaptive K: a run deep enough to keep every shard at least
-            // two units busy fattens its units (amortizing ring hops and
-            // bookkeeping), a shallow one stays at one batch per unit so
-            // tail latency and shard spread are unhurt at low load.
-            let k = run_batches
-                .div_ceil(2 * nshards.max(1))
-                .clamp(1, self.unit_cap);
-            let mut unit_batches = self.spare_units.pop().unwrap_or_default();
-            let mut inputs = self.checkout_inputs(pad);
-            let mut rows = if fused {
-                self.checkout_rows()
-            } else {
-                Vec::new()
-            };
-            let mut batch_len = 0usize;
-            let mut batch_start = scatter.len();
-            let mut packed = 0usize;
-            for (ri, request) in requests.iter().enumerate() {
-                if group_of[ri] != g {
-                    continue;
-                }
-                if fused {
-                    if request.inputs.is_empty() {
-                        continue;
-                    }
-                    if batch_len + request.inputs.len() > capacity {
-                        // Seal the row-aligned batch: pad its tail
-                        // in-domain. (A follow-up row is guaranteed, so
-                        // the fresh checkouts below are always used.)
-                        inputs.as_mut_slice()[batch_len..].fill(pad);
-                        unit_batches.push(PackedBatch {
-                            inputs: std::mem::replace(&mut inputs, FixedBatch::empty()),
-                            len: batch_len,
-                            rows: std::mem::take(&mut rows),
-                            dst: scatter_base.wrapping_add(batch_start),
-                        });
-                        packed += 1;
-                        batch_len = 0;
-                        batch_start = scatter.len();
-                        if unit_batches.len() == k {
-                            self.pending.push_back(WorkUnit {
-                                seq: self.next_seq,
-                                plan: Arc::clone(&plan),
-                                batches: std::mem::take(&mut unit_batches),
-                            });
-                            self.next_seq += 1;
-                            jobs += 1;
-                            unit_batches = self.spare_units.pop().unwrap_or_default();
-                        }
-                        inputs = self.checkout_inputs(pad);
-                        rows = self.checkout_rows();
-                    }
-                    let row = &mut outputs[ri];
-                    rows.push((batch_len, request.inputs.len()));
-                    for (qi, &x) in request.inputs.iter().enumerate() {
-                        inputs.as_mut_slice()[batch_len] = x;
-                        scatter.push(OutSlot(&mut row[qi]));
-                        batch_len += 1;
-                    }
-                    continue;
-                }
-                let row = &mut outputs[ri];
-                for (qi, &x) in request.inputs.iter().enumerate() {
-                    inputs.as_mut_slice()[batch_len] = x;
-                    scatter.push(OutSlot(&mut row[qi]));
-                    batch_len += 1;
-                    if batch_len == capacity {
-                        unit_batches.push(PackedBatch {
-                            inputs: std::mem::replace(&mut inputs, FixedBatch::empty()),
-                            len: batch_len,
-                            rows: Vec::new(),
-                            dst: scatter_base.wrapping_add(batch_start),
-                        });
-                        packed += 1;
-                        batch_len = 0;
-                        batch_start = scatter.len();
-                        if unit_batches.len() == k {
-                            self.pending.push_back(WorkUnit {
-                                seq: self.next_seq,
-                                plan: Arc::clone(&plan),
-                                batches: std::mem::take(&mut unit_batches),
-                            });
-                            self.next_seq += 1;
-                            jobs += 1;
-                            if packed < run_batches {
-                                unit_batches = self.spare_units.pop().unwrap_or_default();
-                            }
-                        }
-                        if packed < run_batches {
-                            inputs = self.checkout_inputs(pad);
-                        }
-                    }
-                }
-            }
-            if batch_len > 0 {
-                // The run's ragged tail: pad the unused slots in-domain.
-                inputs.as_mut_slice()[batch_len..].fill(pad);
-                unit_batches.push(PackedBatch {
+                lanes[fill..].fill(plan.pad);
+                batches.push(PackedBatch {
                     inputs,
-                    len: batch_len,
+                    len: fill,
                     rows,
-                    dst: scatter_base.wrapping_add(batch_start),
+                    dst,
                 });
             }
-            if unit_batches.is_empty() {
-                if unit_batches.capacity() > 0 {
-                    self.spare_units.push(unit_batches);
-                }
-            } else {
-                self.pending.push_back(WorkUnit {
-                    seq: self.next_seq,
-                    plan,
-                    batches: unit_batches,
-                });
-                self.next_seq += 1;
-                jobs += 1;
-            }
+            self.pending.push_back(WorkUnit {
+                seq: self.next_seq,
+                plan: Arc::clone(plan),
+                batches,
+            });
+            self.next_seq += 1;
         }
         let id = self.next_ticket;
         self.next_ticket += 1;
         self.inflight.push(TicketState {
             id,
             base_seq,
-            jobs,
+            jobs: schedule.units().len(),
             received: 0,
             scatter,
             outputs,
-            request_count: requests.len(),
             failure: None,
         });
         self.admit_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -2741,13 +2548,6 @@ impl ServingEngine {
             inputs.reset(self.routers, self.neurons, pad);
         }
         inputs
-    }
-
-    /// Pops a recycled row map for a fused batch (minting one if the
-    /// pool is dry). Row maps are tiny, but recycling them keeps the
-    /// fused steady state allocation-free like the single-lookup path.
-    fn checkout_rows(&mut self) -> Vec<(usize, usize)> {
-        self.spare_rows.pop().unwrap_or_default()
     }
 
     /// Blocks until `ticket` finishes and returns its result — the
@@ -3088,7 +2888,6 @@ impl ServingEngine {
         let TicketState {
             mut scatter,
             outputs,
-            request_count,
             failure,
             ..
         } = state;
@@ -3102,7 +2901,7 @@ impl ServingEngine {
                 // Only a fully served slate counts its requests: on an
                 // error the batch/query counters reflect the work that
                 // evaluated, but no request was answered in full.
-                self.requests_served += request_count as u64;
+                self.requests_served += outputs.len() as u64;
                 Ok(outputs)
             }
         };
@@ -3973,9 +3772,7 @@ mod tests {
         };
         let units: Vec<Box<dyn VectorUnit>> =
             vec![Box::new(PanickingUnit), Box::new(PanickingUnit)];
-        let mut eng =
-            ServingEngine::from_units(config, vec![(key, table)], MAX_UNIT_BATCHES, None, units)
-                .unwrap();
+        let mut eng = ServingEngine::from_units(config, vec![(key, table)], None, units).unwrap();
         let err = eng.serve(&requests(2, 10, 30)).unwrap_err();
         assert!(
             matches!(&err, NovaError::Runtime(msg) if msg.contains("panicked")),

@@ -106,8 +106,12 @@
 //!             return got;
 //!         }
 //!         rx.begin_park();
-//!         if rx.try_pop().is_none() && !rx.is_closed() {
-//!             std::thread::park();
+//!         // The re-check may pop an item that landed after the first
+//!         // miss: keep it, never drop it.
+//!         match rx.try_pop() {
+//!             Some(v) => got.push(v),
+//!             None if !rx.is_closed() => std::thread::park(),
+//!             None => {}
 //!         }
 //!         rx.end_park();
 //!     }
@@ -639,8 +643,12 @@ mod tests {
                     return got;
                 }
                 rx.begin_park();
-                if rx.try_pop().is_none() && !rx.is_closed() {
-                    std::thread::park();
+                // The re-check may pop an item that landed after the
+                // first miss: keep it rather than drop it.
+                match rx.try_pop() {
+                    Some(v) => got.push(v),
+                    None if !rx.is_closed() => std::thread::park(),
+                    None => {}
                 }
                 rx.end_park();
             }
@@ -723,8 +731,10 @@ mod tests {
                     return got;
                 }
                 rx.begin_park();
-                if rx.try_pop().is_none() && !rx.is_closed() {
-                    std::thread::park();
+                match rx.try_pop() {
+                    Some(v) => got.push(v),
+                    None if !rx.is_closed() => std::thread::park(),
+                    None => {}
                 }
                 rx.end_park();
             }

@@ -5,17 +5,20 @@
 //! PRNG (`nova_fixed::rng`) instead of proptest, per the no-external-
 //! dependency policy.
 
+use nova::engine::{evaluate_fused_softmax, evaluate_multi_stream};
 use nova::serving::{Plan, ServingEngine, ServingRequest, TableCache, TableKey};
 use nova::vector_unit::build;
 use nova::{
     ApproximatorKind, FixedBatch, LutVariant, LutVectorUnit, Mapper, NovaVectorUnit,
     SegmentedNovaUnit, VectorUnit,
 };
+use nova_accel::AcceleratorConfig;
 use nova_approx::Activation;
 use nova_fixed::rng::StdRng;
 use nova_fixed::{Fixed, Rounding, Q4_12};
 use nova_noc::LineConfig;
 use nova_synth::TechModel;
+use nova_workloads::bert::OpCensus;
 
 const ACTIVATIONS: [Activation; 5] = [
     Activation::Exp,
@@ -192,67 +195,276 @@ fn flat_serving_bit_identical_across_kinds_geometries_and_ragged_tails() {
 }
 
 /// Fat work units are functionally invisible: for every approximator
-/// kind × worker count {1, 2, 4} × unit cap K ∈ {1, 3, 8}, a mixed-
-/// activation slate with ragged tail batches serves bit-identically to
-/// the sequential reference, steady-state repeats mint no input
-/// buffers through the SPSC rings, and the job ledger confirms runs
-/// actually coalesced (`jobs <= batches`, strictly fewer once K > 1
-/// and a run spans multiple batches).
+/// kind × worker count {1, 2, 4}, mixed-activation slates whose depth
+/// drives the adaptive `K = ⌈run_batches / 2·shards⌉ ∧ 8` through 1, 2,
+/// 3 and 8 serve bit-identically to the sequential reference, with
+/// ragged tail batches; steady-state repeats mint no input buffers
+/// through the SPSC rings, and the job ledger shows each run packed
+/// into exactly `⌈run_batches / K⌉` units.
 #[test]
 fn fat_units_bit_identical_across_workers_kinds_and_unit_caps() {
     let mut rng = StdRng::seed_from_u64(0xFA7);
     let cache = TableCache::new();
     let gelu = TableKey::paper(Activation::Gelu);
     let exp = TableKey::paper(Activation::Exp);
-    // 3×7 grid (capacity 21) with 47 queries/stream: every stream ends
-    // in a genuinely partial tail batch (47 = 2·21 + 5).
-    let (routers, neurons, queries_per_stream) = (3usize, 7usize, 47usize);
-    let requests: Vec<ServingRequest> = (0..4)
-        .map(|stream| {
-            ServingRequest::new(
-                stream,
-                if stream % 2 == 0 { gelu } else { exp },
-                (0..queries_per_stream)
-                    .map(|_| {
-                        Fixed::from_f64(rng.gen_range(-6.0..6.0), Q4_12, Rounding::NearestEven)
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
+    // 3×7 grid (capacity 21). Four streams alternate GELU and exp, so
+    // each slate holds two runs of `2 × queries_per_stream` queries.
+    let (routers, neurons) = (3usize, 7usize);
+    let mut slate = |queries_per_stream: usize| -> Vec<ServingRequest> {
+        (0..4)
+            .map(|stream| {
+                ServingRequest::new(
+                    stream,
+                    if stream % 2 == 0 { gelu } else { exp },
+                    (0..queries_per_stream)
+                        .map(|_| {
+                            Fixed::from_f64(rng.gen_range(-6.0..6.0), Q4_12, Rounding::NearestEven)
+                        })
+                        .collect(),
+                )
+            })
+            .collect()
+    };
+    // 94-query runs are 5 batches (4 full + a 10-query tail): K = 3, 2,
+    // 1 at 1, 2, 4 workers. 320-query runs are 16 batches (15 full + a
+    // 5-query tail): K = 8 on one worker.
+    let shallow = slate(47);
+    let deep = slate(160);
+    let cases = [
+        (&shallow, 1usize, 3usize),
+        (&shallow, 2, 2),
+        (&shallow, 4, 1),
+        (&deep, 1, 8),
+    ];
     for kind in ApproximatorKind::all() {
-        for workers in [1usize, 2, 4] {
-            for unit_cap in [1usize, 3, 8] {
-                let mut engine = ServingEngine::builder(kind)
-                    .line(LineConfig::paper_default(routers, neurons))
-                    .cache(&cache)
-                    .tables([gelu, exp])
-                    .shards(workers)
-                    .max_batches_per_unit(unit_cap)
-                    .build()
-                    .unwrap();
-                let label = format!("{} w={workers} K={unit_cap}", kind.label());
-                let reference = engine.serve_reference(&requests);
-                assert_eq!(engine.serve(&requests).unwrap(), reference, "{label}");
-                let minted = engine.buffers_created();
-                assert_eq!(engine.serve(&requests).unwrap(), reference, "{label}");
+        for (requests, workers, k) in cases {
+            let mut engine = ServingEngine::builder(kind)
+                .line(LineConfig::paper_default(routers, neurons))
+                .cache(&cache)
+                .tables([gelu, exp])
+                .shards(workers)
+                .build()
+                .unwrap();
+            let label = format!("{} w={workers} K={k}", kind.label());
+            let reference = engine.serve_reference(requests);
+            assert_eq!(engine.serve(requests).unwrap(), reference, "{label}");
+            let minted = engine.buffers_created();
+            assert_eq!(engine.serve(requests).unwrap(), reference, "{label}");
+            assert_eq!(
+                engine.buffers_created(),
+                minted,
+                "steady state minted buffers: {label}"
+            );
+            let stats = engine.stats();
+            let run_batches = (2 * requests[0].inputs.len()).div_ceil(routers * neurons) as u64;
+            assert_eq!(stats.batches, 2 * 2 * run_batches, "{label}");
+            assert!(stats.jobs > 0 && stats.jobs <= stats.batches, "{label}");
+            assert_eq!(
+                stats.jobs,
+                2 * 2 * run_batches.div_ceil(k as u64),
+                "each run packs into ⌈batches / K⌉ units: {label}"
+            );
+        }
+    }
+}
+
+/// A census whose only non-linear traffic is `queries` lookups.
+fn census_of(queries: usize) -> OpCensus {
+    OpCensus {
+        gelu_elements: queries as u64,
+        ..OpCensus::default()
+    }
+}
+
+/// Serves `requests` on a fresh `.host(cmos22, tpu_v4_like)` engine with
+/// `tables` registered in order, returning `(batches, switches, switch
+/// cycles, makespan)` from its ledger.
+fn engine_ledger(
+    kind: ApproximatorKind,
+    workers: usize,
+    tables: &[TableKey],
+    requests: &[ServingRequest],
+) -> (u64, u64, u64, u64) {
+    let tech = TechModel::cmos22();
+    let host = AcceleratorConfig::tpu_v4_like();
+    let mut engine = ServingEngine::builder(kind)
+        .host(&tech, &host)
+        .tables(tables.iter().copied())
+        .shards(workers)
+        .build()
+        .unwrap();
+    assert_eq!(
+        engine.serve(requests).unwrap(),
+        engine.serve_reference(requests)
+    );
+    let stats = engine.stats();
+    (
+        stats.batches,
+        stats.table_switches,
+        stats.switch_cycles,
+        engine.makespan_cycles(),
+    )
+}
+
+/// Seeded words in the paper tables' domain.
+fn words(rng: &mut StdRng, n: usize) -> Vec<Fixed> {
+    (0..n)
+        .map(|_| Fixed::from_f64(rng.gen_range(-6.0..6.0), Q4_12, Rounding::NearestEven))
+        .collect()
+}
+
+/// The analytic twins are folds over the engine's own schedule, so they
+/// agree with it *exactly*: for seeded mixed-activation slates and
+/// ragged fused-row slates (empty rows included) × every approximator
+/// kind × workers {1, 2, 4}, on TPU-v4-like engines whose tables are
+/// registered in slate first-appearance order, the twin's batches,
+/// table switches, switch cycles and makespan equal the engine's
+/// ledger. The fixed cases are the slates on which a batch-round-robin
+/// twin undercounted the makespan of the unit-round-robin engine.
+#[test]
+fn analytic_twins_equal_the_engine_exactly() {
+    let tech = TechModel::cmos22();
+    let host = AcceleratorConfig::tpu_v4_like();
+    let capacity = host.total_neurons();
+    let mut rng = StdRng::seed_from_u64(0x7317);
+    let palette = [
+        Activation::Gelu,
+        Activation::Exp,
+        Activation::Sigmoid,
+        Activation::Tanh,
+    ];
+    // Mixed-activation slates: `(activation, queries)` per request. The
+    // first is the 8-request GELU/exp slate of 17- and 15-batch runs.
+    let mut mixed: Vec<Vec<(Activation, usize)>> = vec![(0..8)
+        .map(|i| {
+            if i % 2 == 0 {
+                (Activation::Gelu, 4300)
+            } else {
+                (Activation::Exp, 3700)
+            }
+        })
+        .collect()];
+    for _ in 0..5 {
+        let n = rng.gen_range(1usize..9);
+        mixed.push(
+            (0..n)
+                .map(|_| {
+                    let a = palette[rng.gen_range(0..palette.len())];
+                    let q = if rng.gen_range(0usize..6) == 0 {
+                        0
+                    } else {
+                        rng.gen_range(1usize..6000)
+                    };
+                    (a, q)
+                })
+                .collect(),
+        );
+    }
+    for slate in &mixed {
+        let mut tables: Vec<TableKey> = Vec::new();
+        let mut census = Vec::new();
+        let mut requests = Vec::new();
+        for (stream, &(activation, queries)) in slate.iter().enumerate() {
+            let key = TableKey::paper(activation);
+            if !tables.contains(&key) {
+                tables.push(key);
+            }
+            census.push((activation, census_of(queries)));
+            requests.push(ServingRequest::new(stream, key, words(&mut rng, queries)));
+        }
+        for kind in ApproximatorKind::all() {
+            for workers in [1usize, 2, 4] {
+                let twin = evaluate_multi_stream(&tech, &host, &census, kind, workers).unwrap();
+                let label = format!("{} w={workers} {slate:?}", kind.label());
                 assert_eq!(
-                    engine.buffers_created(),
-                    minted,
-                    "steady state minted buffers: {label}"
+                    (
+                        twin.coalesced_batches,
+                        twin.table_switches,
+                        twin.switch_cycles,
+                        twin.makespan_nl_cycles
+                    ),
+                    engine_ledger(kind, workers, &tables, &requests),
+                    "{label}"
                 );
-                let stats = engine.stats();
-                assert!(stats.jobs > 0 && stats.jobs <= stats.batches, "{label}");
-                if unit_cap == 1 {
-                    // K = 1 degenerates to one batch per job.
-                    assert_eq!(stats.jobs, stats.batches, "{label}");
-                } else if workers == 1 {
-                    // Three-batch runs on one shard must coalesce.
-                    assert!(stats.jobs < stats.batches, "runs never packed: {label}");
-                }
             }
         }
     }
+    // Fused-row slates: the first is ten 1000-lane rows; the others are
+    // ragged up to the full batch width, with empty rows mixed in.
+    let softmax = Plan::fused_softmax(Q4_12, Rounding::NearestEven);
+    let mut fused: Vec<Vec<usize>> = vec![vec![1000; 10]];
+    for _ in 0..4 {
+        let n = rng.gen_range(1usize..16);
+        let mut rows: Vec<usize> = (0..n)
+            .map(|_| match rng.gen_range(0usize..5) {
+                0 => 0,
+                1 => capacity,
+                _ => rng.gen_range(1..capacity),
+            })
+            .collect();
+        rows.push(rng.gen_range(1..capacity));
+        fused.push(rows);
+    }
+    let tables: Vec<TableKey> = softmax.table_keys().collect();
+    for rows in &fused {
+        let requests: Vec<ServingRequest> = rows
+            .iter()
+            .enumerate()
+            .map(|(stream, &w)| ServingRequest::new(stream, softmax.clone(), words(&mut rng, w)))
+            .collect();
+        let widths: Vec<u64> = rows.iter().map(|&w| w as u64).collect();
+        for kind in ApproximatorKind::all() {
+            for workers in [1usize, 2, 4] {
+                let twin = evaluate_fused_softmax(&host, &widths, kind, workers).unwrap();
+                let label = format!("{} w={workers} fused {rows:?}", kind.label());
+                assert_eq!(
+                    (
+                        twin.batches,
+                        twin.table_switches,
+                        twin.switch_cycles,
+                        twin.makespan_nl_cycles
+                    ),
+                    engine_ledger(kind, workers, &tables, &requests),
+                    "{label}"
+                );
+            }
+        }
+    }
+}
+
+/// Empty requests pack nothing in the engine, so the twin neither counts
+/// them as an activation run nor as a switch boundary — in the pooled
+/// fold, the naive baseline or `nl_speedup`'s serial run transitions.
+#[test]
+fn twin_skips_empty_requests_like_the_engine() {
+    let tech = TechModel::cmos22();
+    let host = AcceleratorConfig::tpu_v4_like();
+    let mut rng = StdRng::seed_from_u64(0xE4);
+    let slate = [
+        (Activation::Gelu, 3000usize),
+        (Activation::Sigmoid, 0),
+        (Activation::Exp, 2000),
+    ];
+    let census: Vec<(Activation, OpCensus)> =
+        slate.iter().map(|&(a, q)| (a, census_of(q))).collect();
+    let tables: Vec<TableKey> = slate.iter().map(|&(a, _)| TableKey::paper(a)).collect();
+    let requests: Vec<ServingRequest> = slate
+        .iter()
+        .enumerate()
+        .map(|(s, &(a, q))| ServingRequest::new(s, TableKey::paper(a), words(&mut rng, q)))
+        .collect();
+    let kind = ApproximatorKind::PerCoreLut;
+    let twin = evaluate_multi_stream(&tech, &host, &census, kind, 1).unwrap();
+    assert_eq!(twin.activations, 2);
+    assert_eq!(twin.naive_table_switches, 1);
+    let (_, switches, _, _) = engine_ledger(kind, 1, &tables, &requests);
+    assert_eq!(twin.table_switches, switches);
+    // One GELU → exp transition on each side of the speedup ratio.
+    let stall = twin.switch_cycles;
+    assert_eq!(
+        twin.nl_speedup,
+        twin.naive_nl_cycles as f64 / (twin.nl_cycles + stall) as f64
+    );
 }
 
 /// Op-graph plans are functionally invisible too: for every approximator
