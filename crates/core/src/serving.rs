@@ -39,7 +39,8 @@
 //!      NOVA, a real bank-rewrite stall on LUT/SDP hardware — see
 //!      [`crate::timeline::table_switch_cycles`]), evaluating in
 //!      parallel, and **scattering results directly** into the
-//!      submitting ticket's pre-sized output rows;
+//!      submitting ticket's pre-sized output rows, one bounded copy per
+//!      request segment;
 //!   3. a **watermark completion** stage on the engine thread that
 //!      counts each ticket's finished units off a per-shard completion
 //!      ring and rolls the counters — it never re-touches a result row,
@@ -108,6 +109,15 @@
 //! scaling bench can attribute regressions to a stage instead of
 //! guessing.
 //!
+//! Scatter works on *segments*, not single words. Packing is
+//! arrival-ordered and contiguous per plan, so each request piece a
+//! batch holds is one run of grid lanes headed for one run of its
+//! output row: admission records a `(start, len, dst)` segment per
+//! piece and the worker writes each with a single copy. A full batch
+//! of long requests carries one or two segments, and for row-aligned
+//! (fused) plans the segments are exactly the rows the reduce stages
+//! work on.
+//!
 //! Only each activation run's tail batch is padded (with an in-domain
 //! value whose results are dropped on scatter), so batch occupancy
 //! approaches 100 % as offered load grows — which is exactly what the
@@ -156,9 +166,9 @@
 //!    back *whole* (batches and plan intact, zero counters) over its
 //!    completion ring;
 //! 3. **requeue** — each handed-back unit is re-admitted to the
-//!    healthy shards. Scatter is idempotent (workers write result
-//!    words through per-slot pointers), so the healthy re-run lands
-//!    bit-identically and the slate completes equal to
+//!    healthy shards. Scatter is idempotent (workers copy each result
+//!    segment to the same output sub-range), so the healthy re-run
+//!    lands bit-identically and the slate completes equal to
 //!    [`serve_reference`](ServingEngine::serve_reference) as long as
 //!    one healthy shard remains; only when the last shard is
 //!    quarantined does the engine poison. The ledger counts requeued
@@ -1237,26 +1247,37 @@ nova_serde::impl_serde_struct!(StageTimes {
     requeue_ns,
 });
 
-/// Where one query's output word lands: a raw pointer into the
-/// submitting ticket's pre-sized per-request output row.
+/// One piece of a request packed into a batch: grid lanes
+/// `start..start + len` hold the request's queries, and their results
+/// land at `dst..dst + len`, a sub-range of the submitting ticket's
+/// pre-sized output row for that request.
 ///
-/// The pointee is a slot of a `Vec<Fixed>` inside
-/// `TicketState::outputs`. Admission sizes every row to its final
-/// length *before* taking these pointers and never resizes a row while
-/// its ticket is in flight, and moving `TicketState` (or the `inflight`
-/// vector it lives in) moves only `Vec` headers — the heap rows the
-/// pointers target stay put. The sequence ledger guarantees exclusive
-/// access: each slot belongs to exactly one packed batch, and the
-/// engine only reads the rows after every unit of the ticket has
-/// completed (a `SeqCst` completion-ring crossing orders the worker's
-/// writes before the engine's reads).
+/// `dst` points into a `Vec<Fixed>` inside `TicketState::outputs`.
+/// Admission sizes every row to its final length *before* taking these
+/// pointers and never resizes a row while its ticket is in flight, and
+/// moving `TicketState` (or the `inflight` vector it lives in) moves
+/// only `Vec` headers — the heap rows the pointers target stay put.
+/// Admission cuts each request's row into consecutive pieces, one per
+/// batch it spans, so a ticket's segments are disjoint sub-ranges of
+/// its rows, and a batch's segments tile its `len` real lanes in grid
+/// order. The sequence ledger guarantees exclusive access: each segment
+/// belongs to exactly one packed batch, and the engine only reads the
+/// rows after every unit of the ticket has completed (a `SeqCst`
+/// completion-ring crossing orders the worker's writes before the
+/// engine's reads). For row-aligned (fused) plans a segment is a whole
+/// request row, which is also the range the reduce stages work on.
 #[derive(Clone, Copy)]
-struct OutSlot(*mut Fixed);
+struct Segment {
+    start: usize,
+    len: usize,
+    dst: *mut Fixed,
+}
 
-// SAFETY: an `OutSlot` is a plain address; the exclusivity and
-// lifetime argument above is what makes sending it to a worker sound.
+// SAFETY: `start` and `len` are plain integers and `dst` a plain
+// address; the disjointness and lifetime argument above is what makes
+// sending a segment to a worker, which writes through `dst`, sound.
 #[allow(unsafe_code)]
-unsafe impl Send for OutSlot {}
+unsafe impl Send for Segment {}
 
 /// One stage of a [`CompiledPlan`]: a [`PlanStage`] with its lookup
 /// resolved to the resident table's `Arc`, so workers never touch the
@@ -1341,30 +1362,17 @@ fn range_scale_lane(num_raw: i64, recip_m: Fixed, e: i32, format: QFormat) -> Fi
 }
 
 /// One coalesced batch inside a work unit: a full (possibly
-/// tail-padded) input grid plus the scatter map for its `len` real
-/// queries.
+/// tail-padded) input grid plus the segments its `len` real queries
+/// scatter through.
 struct PackedBatch {
     /// Recyclable flat input grid (pool-owned between flights).
     inputs: FixedBatch,
     /// Real (non-padded) queries in the grid's leading slots.
     len: usize,
-    /// Fused plans only: each packed request's `(start, len)` row
-    /// within the grid — reduce stages operate per row. Empty (and
-    /// allocation-free) for single-lookup plans, whose stages are
-    /// row-agnostic.
-    rows: Vec<(usize, usize)>,
-    /// `len` output slots, one per real query, in grid-slot order. The
-    /// pointees live in the ticket's `scatter` vector, which admission
-    /// reserves to its exact final length before taking this pointer
-    /// (no mid-submit reallocation) and which outlives every flight of
-    /// the ticket's units.
-    dst: *const OutSlot,
+    /// One [`Segment`] per request piece the batch holds, in grid
+    /// order; their lengths sum to `len`. Recycled with its capacity.
+    segs: Vec<Segment>,
 }
-
-// SAFETY: `dst` is only dereferenced by the worker a unit is routed
-// to, while the owning ticket is in flight — see `OutSlot`.
-#[allow(unsafe_code)]
-unsafe impl Send for PackedBatch {}
 
 /// A fat work unit: a sequence-numbered run of up to
 /// [`MAX_UNIT_BATCHES`](crate::schedule::MAX_UNIT_BATCHES) same-plan
@@ -1475,13 +1483,9 @@ struct TicketState {
     /// Units completed so far; the ticket finishes at `jobs` (the
     /// watermark — no per-row reorder work happens here).
     received: usize,
-    /// The scatter surface: one [`OutSlot`] per dispatched query, in
-    /// dispatch order. In-flight `PackedBatch::dst` pointers alias into
-    /// this vector, so it must stay untouched (not even pushed to)
-    /// until every unit has completed.
-    scatter: Vec<OutSlot>,
     /// Per-request output rows, pre-sized to their final lengths at
-    /// admission; workers write the result words in place.
+    /// admission; workers write the result words in place through the
+    /// in-flight batches' [`Segment`]s.
     outputs: Vec<Vec<Fixed>>,
     /// Lowest-sequence unit failure, if any — deterministic for any
     /// worker timing because sequence order is submission order.
@@ -1558,11 +1562,8 @@ pub struct ServingEngine {
     spare_inputs: Vec<FixedBatch>,
     /// Recycled `WorkUnit::batches` shells (capacity-keeping).
     spare_units: Vec<Vec<PackedBatch>>,
-    /// Recycled `PackedBatch::rows` maps (capacity-keeping; fused
-    /// plans only — single-lookup batches carry an empty map).
-    spare_rows: Vec<Vec<(usize, usize)>>,
-    /// Recycled ticket scatter surfaces (capacity-keeping).
-    spare_scatter: Vec<Vec<OutSlot>>,
+    /// Recycled `PackedBatch::segs` lists (capacity-keeping).
+    spare_segs: Vec<Vec<Segment>>,
     /// Input buffers minted because the pool ran dry — grows while the
     /// pipeline warms up, then stays constant (the allocation-free
     /// steady-state invariant the recycling test asserts).
@@ -1891,9 +1892,9 @@ impl ServingEngine {
                                             }
                                             StageOp::MaxSubtract => {
                                                 let lanes = scratch.as_mut_slice();
-                                                for &(start, len) in &pb.rows {
+                                                for seg in &pb.segs {
                                                     row_max_subtract(
-                                                        &mut lanes[start..start + len],
+                                                        &mut lanes[seg.start..seg.start + seg.len],
                                                         plan.format,
                                                     );
                                                 }
@@ -1905,7 +1906,7 @@ impl ServingEngine {
                                                 );
                                                 row_exps.clear();
                                                 let lanes = scratch.as_mut_slice();
-                                                for &(start, len) in &pb.rows {
+                                                for &Segment { start, len, .. } in &pb.segs {
                                                     let red = row_sum_range_reduce(
                                                         &lanes[start..start + len],
                                                         plan.format,
@@ -1927,8 +1928,8 @@ impl ServingEngine {
                                             }
                                             StageOp::RangeScale => {
                                                 let lanes = scratch.as_mut_slice();
-                                                for (ri, &(start, len)) in
-                                                    pb.rows.iter().enumerate()
+                                                for (ri, &Segment { start, len, .. }) in
+                                                    pb.segs.iter().enumerate()
                                                 {
                                                     match row_exps.get(ri).copied().flatten() {
                                                         Some(e) => {
@@ -1965,22 +1966,35 @@ impl ServingEngine {
                                     latency += plan.lookups * unit.latency_cycles();
                                     batches_ok += 1;
                                     queries_ok += pb.len as u64;
-                                    padded += (pb.inputs.capacity() - pb.len) as u64;
-                                    // SAFETY: `pb.dst` points at `pb.len`
-                                    // `OutSlot`s inside the owning
-                                    // ticket's scatter vector, each
-                                    // naming a distinct slot of a
-                                    // pre-sized output row; both outlive
-                                    // this flight (the engine joins the
-                                    // pool before dropping in-flight
-                                    // tickets) and nothing else touches
-                                    // these slots until the completion
-                                    // below is routed — see `OutSlot`.
-                                    #[allow(unsafe_code)]
-                                    unsafe {
-                                        let words = scratch.as_slice();
-                                        for (k, &y) in words[..pb.len].iter().enumerate() {
-                                            *(*pb.dst.add(k)).0 = y;
+                                    padded += (pb.inputs.len() - pb.len) as u64;
+                                    debug_assert_eq!(
+                                        pb.segs.iter().map(|g| g.len).sum::<usize>(),
+                                        pb.len,
+                                        "segments tile the real lanes"
+                                    );
+                                    let words = scratch.as_slice();
+                                    for seg in &pb.segs {
+                                        let src = &words[seg.start..seg.start + seg.len];
+                                        // SAFETY: `seg.dst` starts a
+                                        // disjoint `seg.len`-word
+                                        // sub-range of one pre-sized
+                                        // output row, which outlives
+                                        // this flight (the engine joins
+                                        // the pool before dropping
+                                        // in-flight tickets) and which
+                                        // nothing else touches until the
+                                        // completion below is routed —
+                                        // see `Segment`. `src` is a
+                                        // bounds-checked slice of worker
+                                        // scratch, so the ranges cannot
+                                        // overlap.
+                                        #[allow(unsafe_code)]
+                                        unsafe {
+                                            std::ptr::copy_nonoverlapping(
+                                                src.as_ptr(),
+                                                seg.dst,
+                                                src.len(),
+                                            );
                                         }
                                     }
                                 }
@@ -2073,8 +2087,7 @@ impl ServingEngine {
             padded_slots: 0,
             spare_inputs: Vec::new(),
             spare_units: Vec::new(),
-            spare_rows: Vec::new(),
-            spare_scatter: Vec::new(),
+            spare_segs: Vec::new(),
             buffers_created: 0,
             next_seq: 0,
             next_ticket: 0,
@@ -2442,22 +2455,15 @@ impl ServingEngine {
             .zip(&group_of)
             .map(|(r, &g)| vec![group_plans[g].pad; r.inputs.len()])
             .collect();
-        // The scatter surface: reserved to its exact final length up
-        // front, so the base pointer below stays valid for every
-        // in-flight `PackedBatch::dst` derived from it.
-        let mut scatter = self.spare_scatter.pop().unwrap_or_default();
-        scatter.clear();
-        scatter.reserve(requests.iter().map(|r| r.inputs.len()).sum());
-        let scatter_base: *const OutSlot = scatter.as_ptr();
         let base_seq = self.next_seq;
         // Execute the schedule: each batch copies its fill of queries
         // from its run's requests through one `(group, request, query)`
-        // cursor; a row-aligned batch also maps each (whole) request's
-        // `(start, len)` row. Tail lanes take the plan's in-domain pad
-        // (its first table's lower clamp bound), so they never fault and
-        // are never scattered. Buffers, row maps and unit shells come
-        // from the recycling pools, so a warm pipeline admits without
-        // per-batch heap allocation.
+        // cursor and records one `Segment` per request piece (a whole
+        // row when the plan is row-aligned). Tail lanes take the plan's
+        // in-domain pad (its first table's lower clamp bound), so they
+        // never fault and are never scattered. Buffers, segment lists
+        // and unit shells come from the recycling pools, so a warm
+        // pipeline admits without per-batch heap allocation.
         let mut cursor = (usize::MAX, 0, 0);
         for unit in schedule.units() {
             let plan = &group_plans[unit.group];
@@ -2467,12 +2473,7 @@ impl ServingEngine {
             let mut batches = self.spare_units.pop().unwrap_or_default();
             for fill in schedule.fills(unit) {
                 let mut inputs = self.checkout_inputs(plan.pad);
-                let mut rows = if plan.row_aligned {
-                    self.spare_rows.pop().unwrap_or_default()
-                } else {
-                    Vec::new()
-                };
-                let dst = scatter_base.wrapping_add(scatter.len());
+                let mut segs = self.spare_segs.pop().unwrap_or_default();
                 let lanes = inputs.as_mut_slice();
                 let mut len = 0;
                 while len < fill {
@@ -2483,12 +2484,16 @@ impl ServingEngine {
                         continue;
                     }
                     let take = (fill - len).min(xs.len() - qi);
-                    if plan.row_aligned {
-                        debug_assert!(qi == 0 && take == xs.len(), "rows never split");
-                        rows.push((len, take));
-                    }
+                    debug_assert!(
+                        !plan.row_aligned || (qi == 0 && take == xs.len()),
+                        "rows never split"
+                    );
                     lanes[len..len + take].copy_from_slice(&xs[qi..qi + take]);
-                    scatter.extend(outputs[ri][qi..qi + take].iter_mut().map(|y| OutSlot(y)));
+                    segs.push(Segment {
+                        start: len,
+                        len: take,
+                        dst: outputs[ri][qi..qi + take].as_mut_ptr(),
+                    });
                     len += take;
                     cursor.2 += take;
                 }
@@ -2496,8 +2501,7 @@ impl ServingEngine {
                 batches.push(PackedBatch {
                     inputs,
                     len: fill,
-                    rows,
-                    dst,
+                    segs,
                 });
             }
             self.pending.push_back(WorkUnit {
@@ -2514,7 +2518,6 @@ impl ServingEngine {
             base_seq,
             jobs: schedule.units().len(),
             received: 0,
-            scatter,
             outputs,
             failure: None,
         });
@@ -2713,9 +2716,9 @@ impl ServingEngine {
     /// One fault completion from shard `s`: quarantines the shard (first
     /// verdict only) and re-admits the returned unit — batches intact,
     /// plan riding along — to the healthy routing set. Scatter is
-    /// idempotent (workers write result words through per-slot pointers),
-    /// so the healthy re-run lands bit-identically even if the faulty
-    /// shard partially scattered before its canary tripped.
+    /// idempotent (workers copy each result segment to the same output
+    /// sub-range), so the healthy re-run lands bit-identically even if
+    /// the faulty shard partially scattered before its canary tripped.
     ///
     /// # Errors
     ///
@@ -2794,11 +2797,9 @@ impl ServingEngine {
         let mut shell = recycled;
         for pb in shell.drain(..) {
             self.spare_inputs.push(pb.inputs);
-            let mut rows = pb.rows;
-            if rows.capacity() > 0 {
-                rows.clear();
-                self.spare_rows.push(rows);
-            }
+            let mut segs = pb.segs;
+            segs.clear();
+            self.spare_segs.push(segs);
         }
         self.spare_units.push(shell);
         let idx = self
@@ -2882,19 +2883,12 @@ impl ServingEngine {
     /// Completion bookkeeping for one finished ticket — a watermark
     /// advance, not a reorder: the workers already scattered every
     /// result word into the pre-sized output rows, so all that is left
-    /// is recycling the scatter surface and judging the slate.
+    /// is judging the slate.
     fn finalize(&mut self, state: TicketState) -> Result<Vec<Vec<Fixed>>, NovaError> {
         let started = Instant::now();
         let TicketState {
-            mut scatter,
-            outputs,
-            failure,
-            ..
+            outputs, failure, ..
         } = state;
-        // Every unit has completed: no live `PackedBatch::dst` aliases
-        // the scatter surface any more, so it can be recycled.
-        scatter.clear();
-        self.spare_scatter.push(scatter);
         let verdict = match failure {
             Some((_, e)) => Err(e),
             None => {
@@ -3363,6 +3357,12 @@ mod tests {
                 assert_eq!(outputs, reference, "{kind:?} diverged at {workers} workers");
                 let stats = eng.stats();
                 assert!(stats.table_switches > 0, "{kind:?}: no switch happened");
+                // Every grid slot of every batch is a query or padding.
+                assert_eq!(
+                    stats.padded_slots + stats.queries,
+                    stats.batches * eng.capacity() as u64,
+                    "{kind:?} at {workers} workers: padding miscounted"
+                );
                 let busiest_batch_cycles =
                     eng.worker_loads().iter().map(|l| l.cycles).max().unwrap();
                 if kind == ApproximatorKind::NovaNoc {

@@ -8,7 +8,7 @@
 
 use nova_accel::config::AcceleratorConfig;
 use nova_approx::QuantizedPwl;
-use nova_fixed::{Fixed, FixedBatch};
+use nova_fixed::{Fixed, FixedBatch, QFormat};
 use nova_lut::{PerCoreLut, PerNeuronLut, SdpUnit};
 use nova_noc::{multiline::SegmentedNoc, sim::BroadcastSim, LineConfig, LinkConfig};
 use nova_synth::{timing, TechModel};
@@ -287,6 +287,18 @@ pub fn validate_flat_shape(
     Ok(())
 }
 
+/// Gives a lookup's output buffer the unit's `(routers × neurons)` grid,
+/// shared by all [`VectorUnit`] implementations. A recycled buffer that
+/// already has the grid is left as it is: every kind's kernel
+/// overwrites every slot, so filling it first would be a dead pass over
+/// the whole batch. Only a buffer of another shape is reset (to zeros
+/// in `format`, reusing its allocation).
+fn shape_output(out: &mut FixedBatch, routers: usize, neurons: usize, format: QFormat) {
+    if out.dims() != (routers, neurons) {
+        out.reset(routers, neurons, Fixed::zero(format));
+    }
+}
+
 /// A batch-lookup vector unit: the functional contract shared by NOVA and
 /// the LUT baselines.
 ///
@@ -309,8 +321,10 @@ pub trait VectorUnit: Send {
     /// the same slot of `out`, bit-identical to the quantized table.
     ///
     /// `out` is reshaped to the unit's grid by the implementation
-    /// (contents discarded, allocation reused), so callers recycle one
-    /// buffer across batches and the steady state is allocation-free.
+    /// (allocation reused) and every slot is overwritten, so callers
+    /// recycle one buffer across batches and the steady state is
+    /// allocation-free. A buffer that already has the grid is not
+    /// refilled before the kernel runs.
     ///
     /// # Errors
     ///
@@ -416,10 +430,11 @@ impl VectorUnit for NovaVectorUnit {
     ) -> Result<(), NovaError> {
         let config = self.sim.config();
         validate_flat_shape(inputs, config.routers, config.neurons_per_router)?;
-        out.reset(
+        shape_output(
+            out,
             config.routers,
             config.neurons_per_router,
-            Fixed::zero(self.sim.table().format()),
+            self.sim.table().format(),
         );
         let stats = self.sim.run_flat(inputs.as_slice(), out.as_mut_slice())?;
         self.last_latency = stats.core_cycle_latency;
@@ -498,10 +513,11 @@ impl VectorUnit for SegmentedNovaUnit {
     ) -> Result<(), NovaError> {
         let config = self.noc.config();
         validate_flat_shape(inputs, config.routers, config.neurons_per_router)?;
-        out.reset(
+        shape_output(
+            out,
             config.routers,
             config.neurons_per_router,
-            Fixed::zero(self.noc.table().format()),
+            self.noc.table().format(),
         );
         let stats = self.noc.run_flat(inputs.as_slice(), out.as_mut_slice())?;
         self.last_latency = stats.core_cycle_latency;
@@ -544,7 +560,7 @@ pub struct LutVectorUnit {
     per_neuron: Vec<PerNeuronLut>,
     per_core: Vec<PerCoreLut>,
     neurons: usize,
-    format: nova_fixed::QFormat,
+    format: QFormat,
     lookups: u64,
 }
 
@@ -600,7 +616,7 @@ impl VectorUnit for LutVectorUnit {
     ) -> Result<(), NovaError> {
         let cores = self.per_neuron.len().max(self.per_core.len());
         validate_flat_shape(inputs, cores, self.neurons)?;
-        out.reset(cores, self.neurons, Fixed::zero(self.format));
+        shape_output(out, cores, self.neurons, self.format);
         match self.variant {
             LutVariant::PerNeuron => {
                 for (r, unit) in self.per_neuron.iter_mut().enumerate() {
@@ -660,7 +676,7 @@ pub struct SdpVectorUnit {
     /// construction) so the per-batch hot path never re-derives it from
     /// `cores.first()`.
     neurons: usize,
-    format: nova_fixed::QFormat,
+    format: QFormat,
     lookups: u64,
 }
 
@@ -696,7 +712,7 @@ impl VectorUnit for SdpVectorUnit {
         out: &mut FixedBatch,
     ) -> Result<(), NovaError> {
         validate_flat_shape(inputs, self.cores.len(), self.neurons)?;
-        out.reset(self.cores.len(), self.neurons, Fixed::zero(self.format));
+        shape_output(out, self.cores.len(), self.neurons, self.format);
         for (r, core) in self.cores.iter_mut().enumerate() {
             core.lookup_into(inputs.row(r), out.row_mut(r))?;
         }

@@ -15,6 +15,10 @@ use crate::{Fixed, FixedError};
 /// A dense row-major batch of [`Fixed`] words on a `(routers × neurons)`
 /// grid.
 ///
+/// Each slot is one 8-byte [`Fixed`] (an `i32` word plus its 2-byte
+/// format), so a 1,024-slot serving batch is 8 KiB of contiguous
+/// storage.
+///
 /// # Invariants
 ///
 /// - `data.len() == routers * neurons` at all times — there is no

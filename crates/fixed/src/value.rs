@@ -29,13 +29,39 @@ use crate::{FixedError, QFormat, Rounding};
 /// # Ok(())
 /// # }
 /// ```
+///
+/// # Layout
+///
+/// A `Fixed` is 8 bytes: the raw word as an `i32` next to its 2-byte
+/// [`QFormat`]. [`QFormat::new`] bounds every word to at most 32 bits
+/// and every constructor and arithmetic result saturates into the
+/// format before storing, so the narrow field is lossless. [`raw`]
+/// widens to `i64` on read, which is the width every datapath
+/// computation (products, accumulators) runs at.
+///
+/// [`raw`]: Self::raw
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fixed {
-    raw: i64,
+    raw: i32,
     format: QFormat,
 }
 
+// The layout above is what batches, request rows and output rows pay
+// per word; keep it from silently growing back.
+const _: () = assert!(std::mem::size_of::<Fixed>() == 8);
+
 impl Fixed {
+    /// Stores a word already saturated into `format` (so it fits the
+    /// format's ≤ 32-bit range and the narrowing cast is exact).
+    #[inline]
+    fn saturated(raw: i64, format: QFormat) -> Self {
+        debug_assert!(format.contains_raw(raw), "{raw} escapes {format}");
+        Self {
+            raw: raw as i32,
+            format,
+        }
+    }
+
     /// Zero in the given format.
     #[must_use]
     pub fn zero(format: QFormat) -> Self {
@@ -45,19 +71,13 @@ impl Fixed {
     /// One in the given format (saturated if 1.0 is out of range).
     #[must_use]
     pub fn one(format: QFormat) -> Self {
-        Self {
-            raw: format.saturate_raw(format.scale()),
-            format,
-        }
+        Self::saturated(format.saturate_raw(format.scale()), format)
     }
 
     /// Quantizes `value` into `format`, saturating out-of-range inputs.
     #[must_use]
     pub fn from_f64(value: f64, format: QFormat, rounding: Rounding) -> Self {
-        Self {
-            raw: format.quantize(value, rounding),
-            format,
-        }
+        Self::saturated(format.quantize(value, rounding), format)
     }
 
     /// Constructs from a raw word.
@@ -68,7 +88,7 @@ impl Fixed {
     /// format's word.
     pub fn from_raw(raw: i64, format: QFormat) -> Result<Self, FixedError> {
         if format.contains_raw(raw) {
-            Ok(Self { raw, format })
+            Ok(Self::saturated(raw, format))
         } else {
             Err(FixedError::RawOutOfRange { raw, format })
         }
@@ -78,17 +98,14 @@ impl Fixed {
     #[inline]
     #[must_use]
     pub fn from_raw_saturating(raw: i64, format: QFormat) -> Self {
-        Self {
-            raw: format.saturate_raw(raw),
-            format,
-        }
+        Self::saturated(format.saturate_raw(raw), format)
     }
 
-    /// The raw two's-complement word.
+    /// The raw two's-complement word, widened to `i64`.
     #[inline]
     #[must_use]
     pub fn raw(self) -> i64 {
-        self.raw
+        i64::from(self.raw)
     }
 
     /// The value's format.
@@ -101,7 +118,7 @@ impl Fixed {
     /// Converts to `f64` exactly (every fixed-point word is representable).
     #[must_use]
     pub fn to_f64(self) -> f64 {
-        self.raw as f64 * self.format.resolution()
+        f64::from(self.raw) * self.format.resolution()
     }
 
     /// Re-quantizes into another format.
@@ -121,10 +138,10 @@ impl Fixed {
     /// differ.
     pub fn saturating_add(self, rhs: Self) -> Result<Self, FixedError> {
         self.check_format(rhs)?;
-        Ok(Self {
-            raw: self.format.saturate_raw(self.raw + rhs.raw),
-            format: self.format,
-        })
+        Ok(Self::from_raw_saturating(
+            self.raw() + rhs.raw(),
+            self.format,
+        ))
     }
 
     /// Saturating subtraction.
@@ -135,10 +152,10 @@ impl Fixed {
     /// differ.
     pub fn saturating_sub(self, rhs: Self) -> Result<Self, FixedError> {
         self.check_format(rhs)?;
-        Ok(Self {
-            raw: self.format.saturate_raw(self.raw - rhs.raw),
-            format: self.format,
-        })
+        Ok(Self::from_raw_saturating(
+            self.raw() - rhs.raw(),
+            self.format,
+        ))
     }
 
     /// Saturating multiplication with a single rounding step, as a hardware
@@ -150,12 +167,9 @@ impl Fixed {
     /// differ.
     pub fn saturating_mul(self, rhs: Self, rounding: Rounding) -> Result<Self, FixedError> {
         self.check_format(rhs)?;
-        let wide = self.raw * rhs.raw; // ≤ 64 bits for ≤ 32-bit words
+        let wide = self.raw() * rhs.raw(); // ≤ 64 bits for ≤ 32-bit words
         let raw = shift_round(wide, self.format.frac_bits(), rounding);
-        Ok(Self {
-            raw: self.format.saturate_raw(raw),
-            format: self.format,
-        })
+        Ok(Self::from_raw_saturating(raw, self.format))
     }
 
     /// Fused multiply-add `self * x + b` with one rounding step at the end,
@@ -172,10 +186,10 @@ impl Fixed {
     pub fn mul_add(self, x: Self, b: Self, rounding: Rounding) -> Result<Self, FixedError> {
         self.check_format(x)?;
         self.check_format(b)?;
-        Ok(Self {
-            raw: Self::mul_add_raw(self.raw, x.raw, b.raw, self.format, rounding),
-            format: self.format,
-        })
+        Ok(Self::saturated(
+            Self::mul_add_raw(self.raw(), x.raw(), b.raw(), self.format, rounding),
+            self.format,
+        ))
     }
 
     /// The raw-word core of [`mul_add`](Self::mul_add): computes the
@@ -205,10 +219,7 @@ impl Fixed {
     /// Saturating negation (`-min_raw` saturates to `max_raw`).
     #[must_use]
     pub fn saturating_neg(self) -> Self {
-        Self {
-            raw: self.format.saturate_raw(-self.raw),
-            format: self.format,
-        }
+        Self::from_raw_saturating(-self.raw(), self.format)
     }
 
     /// Absolute value, saturating for the most-negative word.
@@ -358,6 +369,113 @@ mod tests {
     fn from_raw_rejects_out_of_range() {
         assert!(Fixed::from_raw(40_000, Q4_12).is_err());
         assert!(Fixed::from_raw(32_767, Q4_12).is_ok());
+    }
+
+    /// The widest legal format: its extreme words are exactly the `i32`
+    /// extremes the 8-byte layout stores.
+    fn q32() -> QFormat {
+        QFormat::new(32, 16).unwrap()
+    }
+
+    #[test]
+    fn widest_format_extremes_round_trip() {
+        let q = q32();
+        assert_eq!(
+            (q.min_raw(), q.max_raw()),
+            (i32::MIN.into(), i32::MAX.into())
+        );
+        for raw in [
+            q.min_raw(),
+            q.min_raw() + 1,
+            -1,
+            0,
+            1,
+            q.max_raw() - 1,
+            q.max_raw(),
+        ] {
+            assert_eq!(Fixed::from_raw(raw, q).unwrap().raw(), raw);
+            assert_eq!(Fixed::from_raw_saturating(raw, q).raw(), raw);
+        }
+        assert!(Fixed::from_raw(q.max_raw() + 1, q).is_err());
+        assert!(Fixed::from_raw(q.min_raw() - 1, q).is_err());
+        assert_eq!(Fixed::from_raw_saturating(i64::MAX, q).raw(), q.max_raw());
+        assert_eq!(Fixed::from_raw_saturating(i64::MIN, q).raw(), q.min_raw());
+        assert_eq!(Fixed::one(q).raw(), 1 << 16);
+    }
+
+    #[test]
+    fn widest_format_from_f64_saturates() {
+        let q = q32();
+        for r in [
+            Rounding::NearestEven,
+            Rounding::NearestAway,
+            Rounding::Floor,
+        ] {
+            assert_eq!(Fixed::from_f64(1e12, q, r).raw(), q.max_raw());
+            assert_eq!(Fixed::from_f64(-1e12, q, r).raw(), q.min_raw());
+            assert_eq!(Fixed::from_f64(q.max_value(), q, r).raw(), q.max_raw());
+            assert_eq!(Fixed::from_f64(q.min_value(), q, r).raw(), q.min_raw());
+            assert_eq!(Fixed::from_f64(-1.5, q, r).raw(), -3 << 15);
+        }
+    }
+
+    #[test]
+    fn widest_format_arithmetic_saturates_exactly() {
+        let q = q32();
+        let max = Fixed::from_raw(q.max_raw(), q).unwrap();
+        let min = Fixed::from_raw(q.min_raw(), q).unwrap();
+        let one = Fixed::one(q);
+        let r = Rounding::NearestEven;
+        assert_eq!(max.saturating_add(one).unwrap().raw(), q.max_raw());
+        assert_eq!(min.saturating_sub(one).unwrap().raw(), q.min_raw());
+        assert_eq!(
+            max.saturating_sub(one).unwrap().raw(),
+            q.max_raw() - (1 << 16)
+        );
+        assert_eq!(min.saturating_add(max).unwrap().raw(), -1);
+        assert_eq!(max.saturating_mul(max, r).unwrap().raw(), q.max_raw());
+        assert_eq!(min.saturating_mul(min, r).unwrap().raw(), q.max_raw());
+        assert_eq!(min.saturating_mul(max, r).unwrap().raw(), q.min_raw());
+        assert_eq!(max.saturating_mul(one, r).unwrap().raw(), q.max_raw());
+        assert_eq!(min.saturating_mul(one, r).unwrap().raw(), q.min_raw());
+        assert_eq!(min.saturating_neg().raw(), q.max_raw());
+        assert_eq!(max.saturating_neg().raw(), q.min_raw() + 1);
+        assert_eq!(min.saturating_abs().raw(), q.max_raw());
+        assert_eq!(max.saturating_abs().raw(), q.max_raw());
+    }
+
+    #[test]
+    fn widest_format_mul_add_matches_raw_core() {
+        let q = q32();
+        let words = [
+            q.min_raw(),
+            q.min_raw() + 1,
+            -(1 << 16),
+            -1,
+            0,
+            1,
+            1 << 16,
+            q.max_raw(),
+        ];
+        for rounding in [
+            Rounding::NearestEven,
+            Rounding::NearestAway,
+            Rounding::Floor,
+        ] {
+            for &a in &words {
+                for &x in &words {
+                    for &b in &words {
+                        let fa = Fixed::from_raw(a, q).unwrap();
+                        let fx = Fixed::from_raw(x, q).unwrap();
+                        let fb = Fixed::from_raw(b, q).unwrap();
+                        let fused = fa.mul_add(fx, fb, rounding).unwrap();
+                        let raw = Fixed::mul_add_raw(a, x, b, q, rounding);
+                        assert_eq!(fused.raw(), raw, "{a}·{x} + {b} ({rounding:?})");
+                        assert!(q.contains_raw(raw));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

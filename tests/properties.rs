@@ -6,7 +6,9 @@
 //! dependency policy.
 
 use nova::engine::{evaluate_fused_softmax, evaluate_multi_stream};
-use nova::serving::{Plan, ServingEngine, ServingRequest, TableCache, TableKey};
+use nova::serving::{
+    FaultInjector, FaultPolicy, Plan, ServingEngine, ServingRequest, TableCache, TableKey,
+};
 use nova::vector_unit::build;
 use nova::{
     ApproximatorKind, FixedBatch, LutVariant, LutVectorUnit, Mapper, NovaVectorUnit,
@@ -532,6 +534,110 @@ fn fused_plans_bit_identical_across_workers_kinds_and_ragged_slates() {
                 }
             }
         }
+    }
+}
+
+/// Request lengths around the 1,024-slot paper batch: empty, single,
+/// one short of, exactly, one past, two past and nearly three batches.
+const STRADDLE_LENGTHS: [usize; 7] = [0, 1, 1023, 1024, 1025, 2049, 3000];
+
+/// Segment scatter is functionally invisible: on the 8×128 paper grid
+/// (capacity 1,024), slates whose requests straddle batch and unit
+/// boundaries — every `STRADDLE_LENGTHS` length, alternating GELU and
+/// exp, in two orders — plus a slate of ragged fused-softmax rows
+/// interleaved with straddling lookups serve bit-identically to the
+/// sequential reference for every approximator kind × workers
+/// {1, 2, 4}, and every grid slot of every batch is a query or padding.
+#[test]
+fn segment_scatter_bit_identical_across_straddling_slates() {
+    let mut rng = StdRng::seed_from_u64(0x5E65);
+    let cache = TableCache::new();
+    let gelu = TableKey::paper(Activation::Gelu);
+    let exp = TableKey::paper(Activation::Exp);
+    let softmax = Plan::fused_softmax(Q4_12, Rounding::NearestEven);
+    let lookup_slate = |rng: &mut StdRng, lengths: &mut dyn Iterator<Item = usize>| {
+        lengths
+            .enumerate()
+            .map(|(i, n)| {
+                ServingRequest::new(i, if i % 2 == 0 { gelu } else { exp }, words(rng, n))
+            })
+            .collect::<Vec<_>>()
+    };
+    let forward = lookup_slate(&mut rng, &mut STRADDLE_LENGTHS.into_iter());
+    let backward = lookup_slate(&mut rng, &mut STRADDLE_LENGTHS.into_iter().rev());
+    // Fused rows of ragged widths up to the full batch, between lookups
+    // that split across batches on either side of them.
+    let fused: Vec<ServingRequest> = [1025, 0, 700, 1, 2049, 1024, 333, 1023, 3000, 5]
+        .into_iter()
+        .enumerate()
+        .map(|(i, n)| {
+            if i % 2 == 0 {
+                ServingRequest::new(i, if i % 4 == 0 { gelu } else { exp }, words(&mut rng, n))
+            } else {
+                ServingRequest::new(i, softmax.clone(), words(&mut rng, n))
+            }
+        })
+        .collect();
+    for kind in ApproximatorKind::all() {
+        for workers in [1usize, 2, 4] {
+            let mut engine = ServingEngine::builder(kind)
+                .line(LineConfig::paper_default(8, 128))
+                .cache(&cache)
+                .tables([gelu, exp])
+                .plan(&softmax)
+                .shards(workers)
+                .build()
+                .unwrap();
+            for (name, slate) in [
+                ("forward", &forward),
+                ("backward", &backward),
+                ("fused", &fused),
+            ] {
+                let label = format!("{} w={workers} {name}", kind.label());
+                let reference = engine.serve_reference(slate);
+                assert_eq!(engine.serve(slate).unwrap(), reference, "{label}");
+            }
+            let stats = engine.stats();
+            assert_eq!(
+                stats.padded_slots + stats.queries,
+                stats.batches * engine.capacity() as u64,
+                "{} w={workers}: every slot is a query or padding",
+                kind.label()
+            );
+        }
+    }
+}
+
+/// A shard fault mid-way through a split request: shard 0 of two
+/// flips a bit in its second lookup batch — the batch holding the tail
+/// of a 1,025-query request and the head of a 3,000-query one, after
+/// the first batch's segment was already scattered. The canary trips,
+/// the unit is requeued whole to the survivor, and its re-scatter
+/// leaves the output bit-identical to the reference for every kind.
+#[test]
+fn requeued_split_request_rescatters_identically() {
+    let mut rng = StdRng::seed_from_u64(0xFA57);
+    let cache = TableCache::new();
+    let gelu = TableKey::paper(Activation::Gelu);
+    let slate: Vec<ServingRequest> = [1025, 3000, 2049]
+        .into_iter()
+        .enumerate()
+        .map(|(i, n)| ServingRequest::new(i, gelu, words(&mut rng, n)))
+        .collect();
+    for kind in ApproximatorKind::all() {
+        let mut engine = ServingEngine::builder(kind)
+            .line(LineConfig::paper_default(8, 128))
+            .cache(&cache)
+            .table(gelu)
+            .shards(2)
+            .fault_check(FaultPolicy::new().inject(0, FaultInjector::bit_flip(1, 7)))
+            .build()
+            .unwrap();
+        let reference = engine.serve_reference(&slate);
+        assert_eq!(engine.serve(&slate).unwrap(), reference, "{}", kind.label());
+        let stats = engine.stats();
+        assert_eq!(stats.quarantined_shards, 1, "{}: {stats:?}", kind.label());
+        assert!(stats.requeued_units >= 1, "{}: {stats:?}", kind.label());
     }
 }
 
